@@ -3,8 +3,7 @@
 Two interchangeable implementations live here: numba-jitted element
 loops (default) and vectorized numpy fallbacks. Select with the
 LCDUNKL_BACKEND environment variable ("numba" or "numpy"); numpy is
-also used automatically when numba is not importable. The benchmark
-script under benchmarks/ compares both.
+also used automatically when numba is not importable.
 
 Every evaluator uses compensated (Kahan) accumulation: the transform
 matrices built on top of these loops need absolute accuracy at the

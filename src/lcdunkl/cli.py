@@ -24,7 +24,7 @@ from .paleywiener import (
     support_radius_oracle,
     vanishing_interval_detect,
 )
-from .specfun import CanonicalMatrix
+from .specfun import CanonicalMatrix, DunklParameter
 from .symfun import expr_from_json
 from .transform import lcdt_forward
 
@@ -79,6 +79,15 @@ def _build_context(cfg):
         k = float(cfg["k"])
     except (TypeError, ValueError):
         raise ConfigError("k", "must be a real number")
+    try:
+        k = DunklParameter(k).k
+        finite = math.isfinite(2.0 ** (k + 1.0) * math.gamma(k + 1.0))  # Dunkl measure normalization
+    except ParameterError as exc:
+        raise ConfigError("k", str(exc))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError("k", f"2^(k+1) Gamma(k+1) of the Dunkl measure overflows at k = {k!r}")
     m = cfg["matrix"]
     try:
         M = CanonicalMatrix(m["a"], m["b"], m["c"], m["d"])
@@ -154,12 +163,20 @@ def cmd_transform(cfg, out_dir):
     return 0
 
 
+def _estimator_number(est_cfg, name, convert, kind):
+    try:
+        return convert(est_cfg[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"estimator.{name}", f"must be {kind}, got {est_cfg[name]!r}")
+
+
 def cmd_estimate(cfg, which, out_dir):
-    k, M, prof, (kind, data) = _build_context(cfg)
     est_cfg = cfg["estimator"]
-    p = math.inf if est_cfg.get("p") in ("inf", math.inf) else float(est_cfg.get("p", 2.0))
-    n_max = int(est_cfg.get("n_max", 30))
+    p = est_cfg.get("p")
+    p = math.inf if p in ("inf", math.inf) else _estimator_number(est_cfg, "p", float, "a number or 'inf'")
+    n_max = _estimator_number(est_cfg, "n_max", int, "a finite integer")
     method = est_cfg.get("method", "ratio")
+    k, M, prof, (kind, data) = _build_context(cfg)
     if kind == "bump":
         physical, spec = realize_bump(k, M, data, prof)
         spectral_input = spec

@@ -247,11 +247,15 @@ def dunkl_kernel_dx(k, n: int, lam, x) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     u = lam * x
-    out = np.zeros(np.broadcast(lam, x).shape, dtype=np.complex128)
-    flat_u = np.broadcast_to(u, out.shape)
+    # each Bessel order once, on the distinct |u| only (j is even)
+    t, inv = np.unique(np.abs(u), return_inverse=True)
+    inv = inv.reshape(u.shape)
+    bessel: dict = {}
+    out = np.zeros(u.shape, dtype=np.complex128)
     for (a, i), c in _kernel_dx_terms(kk, n).items():
-        ji = bessel_j_grid(kk + i, flat_u)
-        out += c * flat_u**a * ji
+        if i not in bessel:
+            bessel[i] = bessel_j_grid(kk + i, t)
+        out += c * u**a * bessel[i][inv]
     if n:
         out *= np.broadcast_to(lam, out.shape) ** n
     return out

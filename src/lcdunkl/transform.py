@@ -1,10 +1,14 @@
 """Forward and inverse linear canonical Dunkl transform by quadrature.
 
 The direct O(N_x * N_lambda) method is deliberate: grids are desk scale
-and the error budget stays attributable. The Bessel part of the kernel
-matrix depends only on |outer(grid_a, grid_b)| / |b|, so one cached pair
-of tables serves the forward transform, its inverse (transposed), and
-the plain Dunkl route.
+and the error budget stays attributable. The kernel
+E_k(-i mu, x) = j_k(mu x) - i mu x j_{k+1}(mu x) / (2(k+1)) is a part
+even in mu x plus a part odd in it, so both parts are tabulated on the
+folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
+factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
+rules that quarters the table. One cached pair serves both directions
+of a grid pair (the other one reads the transposed view), and the cache
+holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.
 """
 
 import json
@@ -105,41 +109,54 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# cached Bessel tables
+# folded kernel tables
 
-_TABLE_CAP = 24
+TABLE_BUDGET = 256 * 2**20  # bytes of kernel tables kept between calls
 _tables: dict = {}
 
 
-def _bessel_tables(k: float, ga: np.ndarray, gb: np.ndarray, absb: float):
-    """j_k and j_{k+1} on |outer(ga, gb)| / absb, cached and transpose-shared."""
-    ka, kb = ga.tobytes(), gb.tobytes()
+def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
+    """j_k(t) and t j_{k+1}(t) / (2(k+1)) on t = outer(fa, xa) / absb.
+
+    fa and xa are sorted unique magnitudes. Both orientations of a grid
+    pair share one cached pair of tables.
+    """
+    ka, kb = fa.tobytes(), xa.tobytes()
     swap = ka > kb
     key = (k, absb, kb, ka) if swap else (k, absb, ka, kb)
     got = _tables.get(key)
     if got is None:
-        g1, g2 = (gb, ga) if swap else (ga, gb)
-        u = np.abs(np.outer(g1, g2)) / absb
-        got = (bessel_j_grid(k, u), bessel_j_grid(k + 1.0, u))
-        if len(_tables) >= _TABLE_CAP:
-            _tables.pop(next(iter(_tables)))
-        _tables[key] = got
-    j0, j1 = got
-    if swap:
-        return j0.T, j1.T
-    return j0, j1
+        t = np.multiply.outer(*((xa, fa) if swap else (fa, xa))) / absb
+        got = (bessel_j_grid(k, t), bessel_j_grid(k + 1.0, t) * t * (0.5 / (k + 1.0)))
+        size = sum(a.nbytes for a in got)
+        if size <= TABLE_BUDGET:
+            held = sum(a.nbytes for pair in _tables.values() for a in pair)
+            while held + size > TABLE_BUDGET:
+                held -= sum(a.nbytes for a in _tables.pop(next(iter(_tables))))
+            _tables[key] = got
+    return (got[0].T, got[1].T) if swap else got
+
+
+def _fold_columns(inv: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
+    """Sums of v over the n fold classes of inv, as (re, im) columns."""
+    return np.stack([np.bincount(inv, v.real, n), np.bincount(inv, v.imag, n)], axis=1)
 
 
 def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float):
     """sum_j w_j f_j E_k(-i freq inv_b, x_j) for every frequency.
 
-    E_k(-i mu, x) = j_k(mu x) - i mu x j_{k+1}(mu x) / (2(k+1)).
+    w f folds onto unique|x| as an even sum and a sign(x)-weighted odd
+    sum; each meets its real table in one GEMM against (re, im) columns,
+    and the odd part unfolds with the sign of freq * inv_b.
     """
     x = rule.nodes
-    j0, j1 = _bessel_tables(k, freqs, x, 1.0 / abs(inv_b))
-    u = np.outer(freqs * inv_b, x)
+    fa, finv = np.unique(np.abs(freqs), return_inverse=True)
+    xa, xinv = np.unique(np.abs(x), return_inverse=True)
+    even, odd = _bessel_tables(k, fa, xa, 1.0 / abs(inv_b))
     wf = rule.weights * fvals
-    return j0 @ wf - (1j / (2.0 * (k + 1.0))) * ((u * j1) @ wf)
+    ev = (even @ _fold_columns(xinv, xa.size, wf)).view(np.complex128)[:, 0]
+    od = (odd @ _fold_columns(xinv, xa.size, np.sign(x) * wf)).view(np.complex128)[:, 0]
+    return ev[finv] - 1j * np.sign(freqs * inv_b) * od[finv]
 
 
 def _as_sampled(f, x_rule, k):

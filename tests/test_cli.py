@@ -61,6 +61,22 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
     assert err["error"]["field"] == "config"
 
 
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        ("transform", {"k": -1}, "k"),
+        ("transform", {"k": 1e308}, "k"),
+        ("estimate", {"estimator": {"n_max": "x"}}, "estimator.n_max"),
+        ("estimate", {"estimator": {"p": "x"}}, "estimator.p"),
+    ],
+)
+def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["field"] == field
+
+
 def test_estimate_sigma_bump(tmp_path):
     out = tmp_path / "run"
     assert main(["estimate", "--which", "sigma", "--out", str(out)]) == 0

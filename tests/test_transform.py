@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from lcdunkl import transform
+from lcdunkl.corpus import gauss_profile
 from lcdunkl.errors import ParameterError
-from lcdunkl.quadrature import SampledFunction, build_rule, inner_product, lp_norm
-from lcdunkl.specfun import CanonicalMatrix, principal_power
+from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
+from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_grid, principal_power
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
 from lcdunkl.transform import (
     Spectrum,
     chirp_factorized_forward,
     dunkl_transform,
+    dunkl_values_at,
     lcdt_forward,
     lcdt_inverse,
 )
@@ -197,3 +200,87 @@ def test_spectrum_csv_and_metadata():
     assert np.array_equal(back.values, g.values)
     assert back.M == g.M and back.k == g.k
     assert back.to_json_text() == g.to_json_text()
+
+
+# the folded kernel tables against dense sums over the unfolded grids
+
+M_BPOS = CanonicalMatrix.rotation(-math.pi / 4)
+M_BNEG = CanonicalMatrix.rotation(math.pi / 3)
+FOLD_K = 1.2
+
+
+def small_profile():
+    return gauss_profile(FOLD_K, X=8.0, x_panels=16, x_nodes=16, L=9.0, l_panels=18, l_nodes=14)
+
+
+def neither_even_nor_odd(x_rule):
+    x = x_rule.nodes
+    return SampledFunction(x_rule, (1.0 + 0.6 * x - 0.3j * x * x) * np.exp(-0.5 * x * x))
+
+
+def dense_lcdt(vals, M, lam_rule, x_rule):
+    lam, x = lam_rule.nodes, x_rule.nodes
+    kern = dunkl_kernel_grid(FOLD_K, -np.outer(lam, x) / M.b)  # E_k(-i lam/b, x)
+    core = kern @ (x_rule.weights * np.exp(0.5j * (M.a / M.b) * x * x) * vals)
+    return principal_power(1j * M.b, -(FOLD_K + 1.0)) * np.exp(0.5j * (M.d / M.b) * lam * lam) * core
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
+def test_folded_forward_and_inverse_match_dense_sums(M):
+    prof = small_profile()
+    f = neither_even_nor_odd(prof.x_rule)
+    g = lcdt_forward(f, FOLD_K, M, prof.lam_rule)
+    assert_close(g.values, dense_lcdt(f.values, M, prof.lam_rule, prof.x_rule))
+    back = lcdt_inverse(g, prof.x_rule)
+    assert_close(back.values, dense_lcdt(g.values, M.inverse(), prof.x_rule, prof.lam_rule))
+
+
+def test_folded_values_at_asymmetric_unsorted_frequencies():
+    prof = small_profile()
+    f = neither_even_nor_odd(prof.x_rule)
+    freqs = np.array([1.3, -0.4, 0.0, 2.9, -2.9, 0.7, -5.1, 0.4])
+    want = dunkl_kernel_grid(FOLD_K, -np.outer(freqs, f.rule.nodes)) @ (f.rule.weights * f.values)
+    assert_close(dunkl_values_at(f, FOLD_K, freqs), want)
+
+
+@pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
+def test_folded_forward_on_nearly_symmetric_rule(M):
+    prof = small_profile()
+    nodes = prof.x_rule.nodes.copy()
+    half = nodes.size // 2
+    nodes[half:] = np.nextafter(nodes[half:], np.inf)  # mirror-symmetric to 1 ulp, not bit-exactly
+    rule = QuadratureRule(nodes, prof.x_rule.weights, prof.x_rule.X, FOLD_K)
+    assert not np.array_equal(rule.nodes, -rule.nodes[::-1])
+    f = neither_even_nor_odd(rule)
+    g = lcdt_forward(f, FOLD_K, M, prof.lam_rule)
+    assert_close(g.values, dense_lcdt(f.values, M, prof.lam_rule, rule))
+
+
+def held_bytes():
+    return sum(a.nbytes for pair in transform._tables.values() for a in pair)
+
+
+def test_table_cache_evicts_by_bytes(monkeypatch):
+    monkeypatch.setattr(transform, "_tables", {})
+    prof = small_profile()
+    f = neither_even_nor_odd(prof.x_rule)
+    first = lcdt_forward(f, FOLD_K, M_BPOS, prof.lam_rule).values
+    pair = held_bytes()
+    assert len(transform._tables) == 1 and pair > 0
+
+    # room for one pair: a new |b| evicts the oldest, a rebuild is bit-identical
+    monkeypatch.setattr(transform, "TABLE_BUDGET", pair)
+    lcdt_forward(f, FOLD_K, M_BNEG, prof.lam_rule)
+    assert len(transform._tables) == 1 and held_bytes() <= pair
+    assert np.array_equal(lcdt_forward(f, FOLD_K, M_BPOS, prof.lam_rule).values, first)
+    assert len(transform._tables) == 1 and held_bytes() <= pair
+
+    # a pair larger than the whole budget is used but not kept
+    monkeypatch.setattr(transform, "TABLE_BUDGET", pair - 1)
+    transform._tables.clear()
+    assert np.array_equal(lcdt_forward(f, FOLD_K, M_BPOS, prof.lam_rule).values, first)
+    assert not transform._tables
