@@ -15,7 +15,7 @@ import tempfile
 from . import verify as verify_mod
 from .corpus import bump_profile, gauss_profile, realize_bump
 from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismatchError
-from .operators import RealPolynomial
+from .operators import MAX_N_SPECTRAL, RealPolynomial
 from .paleywiener import (
     compact_spectrum_test,
     estimate_delta,
@@ -93,15 +93,17 @@ def _build_context(cfg):
         M = CanonicalMatrix(m["a"], m["b"], m["c"], m["d"])
     except ParameterError as exc:
         raise ConfigError(f"matrix.{'b' if 'matrix.b' in str(exc) else 'det'}", str(exc))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("matrix", f"needs numeric entries a, b, c, d: {exc}")
     fn = cfg["function"]
     kind = fn.get("type")
     if kind == "bump":
-        intervals = fn.get("intervals")
-        if not intervals or not all(len(pair) == 2 and pair[0] < pair[1] for pair in intervals):
-            raise ConfigError("function.intervals", "need nonempty [lo, hi] pairs with lo < hi")
-        intervals = tuple(tuple(float(v) for v in pair) for pair in intervals)
+        try:
+            intervals = tuple((float(lo), float(hi)) for lo, hi in fn.get("intervals") or ())
+        except (TypeError, ValueError):
+            intervals = ()
+        if not intervals or not all(lo < hi for lo, hi in intervals):
+            raise ConfigError("function.intervals", "need nonempty [lo, hi] pairs of numbers with lo < hi")
         if fn.get("symmetrize"):
             intervals = tuple((-hi, -lo) for lo, hi in intervals) + intervals
         try:
@@ -116,8 +118,7 @@ def _build_context(cfg):
             raise ConfigError("function.expr", f"invalid expression: {exc}")
         g = cfg["grid"]
         try:
-            prof = gauss_profile(
-                k,
+            sizes = dict(
                 X=float(g["x_radius"]),
                 x_panels=int(g["x_panels"]),
                 x_nodes=int(g["x_nodes"]),
@@ -125,6 +126,10 @@ def _build_context(cfg):
                 l_panels=int(g["lambda_panels"]),
                 l_nodes=int(g["lambda_nodes"]),
             )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("grid", f"needs numeric radii and integer panel and node counts: {exc}")
+        try:
+            prof = gauss_profile(k, **sizes)
         except ParameterError as exc:
             raise ConfigError("grid", str(exc))
         return k, M, prof, ("symexpr", expr)
@@ -175,6 +180,8 @@ def cmd_estimate(cfg, which, out_dir):
     p = est_cfg.get("p")
     p = math.inf if p in ("inf", math.inf) else _estimator_number(est_cfg, "p", float, "a number or 'inf'")
     n_max = _estimator_number(est_cfg, "n_max", int, "a finite integer")
+    if not 1 <= n_max <= MAX_N_SPECTRAL:
+        raise ConfigError("estimator.n_max", f"must lie in [1, {MAX_N_SPECTRAL}], got {n_max}")
     method = est_cfg.get("method", "ratio")
     k, M, prof, (kind, data) = _build_context(cfg)
     if kind == "bump":

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, lp_norm
+from .quadrature import QuadratureRule, SampledFunction, _lp_norms, lp_norm
 from .specfun import kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
-from .transform import Spectrum, lcdt_forward, lcdt_inverse
+from .transform import Spectrum, _lcdt_apply, lcdt_forward
 
 __all__ = [
     "RealPolynomial",
@@ -134,24 +134,72 @@ def _log_abs(values):
         return np.log(np.abs(values))
 
 
-def _scaled_multiplier_inverse(g: Spectrum, log_mult, phase, x_rule):
-    """Inverse transform of phase*exp(log_mult)*g, factored as scale * values."""
-    logm = log_mult + _log_abs(g.values)
-    mx = float(np.max(logm))
-    if not np.isfinite(mx):
-        return np.zeros(len(x_rule), dtype=np.complex128), -math.inf
+def _log_powers(log_mult, ns):
+    """Rows n * log_mult for n in ns; the n = 0 row is 0 even where log_mult = -inf."""
     with np.errstate(invalid="ignore"):
-        ang = np.exp(1j * np.angle(g.values))
-    scaled = np.where(np.isneginf(logm), 0.0, np.exp(logm - mx)) * phase * ang
-    edge = np.abs(scaled[np.abs(g.rule.nodes) >= 0.98 * g.rule.X])
-    if edge.size and np.max(edge) > EDGE_WARN_FRACTION:
+        out = np.multiply.outer(np.asarray(ns, dtype=np.float64), log_mult)
+    out[np.asarray(ns) == 0] = 0.0
+    return out
+
+
+def _warn_if_edge_heavy(g: Spectrum, log_mult, ns):
+    """Warn when some |mult|^n g, n in ns, is not negligible at the grid edge."""
+    L = _log_powers(log_mult, ns) + _log_abs(g.values)
+    edge = np.abs(g.rule.nodes) >= 0.98 * g.rule.X
+    with np.errstate(invalid="ignore"):
+        rel = L[:, edge] - np.max(L, axis=1, keepdims=True)
+    if np.any(rel > math.log(EDGE_WARN_FRACTION)):
         _warnings.warn(
             "spectral multiplier is not negligible at the grid edge; "
             "operator power may be under-resolved",
             AccuracyWarning,
         )
-    h = lcdt_inverse(Spectrum(g.rule, scaled, g.k, g.M, label=g.label), x_rule)
-    return h.values, mx
+
+
+def _apply_multiplier(g: Spectrum, log_mult, phase, n, x_rule):
+    """Inverse transform of phase^n |mult|^n g on x_rule."""
+    _warn_if_edge_heavy(g, log_mult, [n])
+    (vals,), (mx,) = _multiplier_inverses(g, log_mult, phase, [n], x_rule)
+    return vals * math.exp(mx) if np.isfinite(mx) else vals
+
+
+def _multiplier_inverses(g: Spectrum, log_mult, phase, ns, x_rule):
+    """Inverse transforms of phase^n |mult|^n g for n in ns, factored as e^(mx_n) * row n.
+
+    log_mult and phase give log|mult| and mult/|mult| on the nodes of g.
+    All rows meet the kernel tables in one contraction; a row whose
+    multiplied spectrum vanishes is zero, with mx_n = -inf.
+    """
+    ns = np.asarray(ns)
+    L = _log_powers(log_mult, ns) + _log_abs(g.values)
+    mx = np.max(L, axis=1)
+    live = np.isfinite(mx)
+    out = np.zeros((ns.size, len(x_rule)), dtype=np.complex128)
+    if not np.any(live):
+        return out, mx
+    with np.errstate(invalid="ignore"):
+        ang = np.exp(1j * np.angle(g.values))
+    scaled = np.exp(L[live] - mx[live, None]) * phase ** ns[live, None] * ang
+    out[live] = _lcdt_apply(g.k, g.M.inverse(), x_rule.nodes, g.rule, np.ascontiguousarray(scaled.T)).T
+    return out, mx
+
+
+def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
+    """log ||inverse(mult^n g)||_p for n = 0..n_max; p = 2 stays spectral (Parseval)."""
+    if not 1 <= n_max <= MAX_N_SPECTRAL:
+        raise ParameterError(f"n_max must lie in [1, {MAX_N_SPECTRAL}], got {n_max!r}")
+    ns = np.arange(n_max + 1)
+    if p == 2.0:
+        L = 2.0 * _log_powers(log_mult, ns) + (2.0 * _log_abs(g.values) + np.log(g.rule.weights))
+        mx = np.max(L, axis=1)
+        with np.errstate(invalid="ignore"):
+            sums = np.sum(np.exp(L - mx[:, None]), axis=1)
+        return [0.5 * (m + math.log(s)) if np.isfinite(m) else -math.inf for m, s in zip(mx, sums)]
+    if x_rule is None:
+        raise ParameterError("p != 2 needs a physical rule for the norms")
+    h, mx = _multiplier_inverses(g, log_mult, phase, ns, x_rule)
+    norms = _lp_norms(x_rule.weights, h, p)
+    return [m + math.log(v) if np.isfinite(m) and v > 0 else -math.inf for m, v in zip(mx, norms)]
 
 
 def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
@@ -163,10 +211,7 @@ def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> Sampled
     xr = _resolve_x_rule(f, x_rule)
     g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
     mu = g.rule.nodes / mm.b
-    log_mult = n * _log_abs(mu) if n else np.zeros_like(mu)
-    phase = (1j * np.sign(mu)) ** n
-    vals, mx = _scaled_multiplier_inverse(g, log_mult, phase, xr)
-    out = vals * math.exp(mx) if np.isfinite(mx) else vals
+    out = _apply_multiplier(g, _log_abs(mu), 1j * np.sign(mu), n, xr)
     if not np.all(np.isfinite(out.real)):
         raise ComputationError("operator power overflowed; use norm_sequence for large n")
     return SampledFunction(xr, out, label=getattr(f, "label", ""))
@@ -182,10 +227,7 @@ def apply_poly_op(f, k, M, P: RealPolynomial, n: int, lam_rule=None, x_rule=None
     xr = _resolve_x_rule(f, x_rule)
     g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
     pvals = P(g.rule.nodes / mm.b)
-    log_mult = n * _log_abs(pvals) if n else np.zeros_like(pvals)
-    phase = np.sign(pvals) ** n if n else np.ones_like(pvals)
-    vals, mx = _scaled_multiplier_inverse(g, log_mult, phase, xr)
-    out = vals * math.exp(mx) if np.isfinite(mx) else vals
+    out = _apply_multiplier(g, _log_abs(pvals), np.sign(pvals), n, xr)
     return SampledFunction(xr, out, label=getattr(f, "label", ""))
 
 
@@ -222,8 +264,7 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
     g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
     mu2 = (g.rule.nodes / mm.b) ** 2
     if mode == "multiplier":
-        vals, mx = _scaled_multiplier_inverse(g, -float(n) * mu2, np.ones_like(mu2), xr)
-        out = vals * math.exp(mx) if np.isfinite(mx) else vals
+        out = _apply_multiplier(g, -mu2, np.ones_like(mu2), n, xr)
         return SampledFunction(xr, out, label=getattr(f, "label", ""))
     q = float(n) * float(np.max(mu2))
     if q > SERIES_Q_MAX:
@@ -239,16 +280,10 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
             f"series truncation {series_terms} misses the certified tail bound; "
             f"at least {required} terms are required for this grid and n"
         )
-    acc = np.zeros(len(xr), dtype=np.complex128)
-    coeff = 1.0
-    delta_mult = np.ones_like(mu2)
-    for m in range(series_terms + 1):
-        if m:
-            coeff *= n / m
-            delta_mult = delta_mult * (-mu2)
-        term = lcdt_inverse(Spectrum(g.rule, delta_mult * g.values, kk, mm), xr)
-        acc = acc + coeff * term.values
-    return SampledFunction(xr, acc, label=getattr(f, "label", ""))
+    coeffs = np.cumprod([1.0] + [n / m for m in range(1, series_terms + 1)])
+    laplacian_powers = np.power.outer(-mu2, np.arange(series_terms + 1)) * g.values[:, None]
+    terms = _lcdt_apply(kk, mm.inverse(), xr.nodes, g.rule, laplacian_powers)
+    return SampledFunction(xr, terms @ coeffs, label=getattr(f, "label", ""))
 
 
 def norm_sequence(f, k, M, p: float, n_max: int, path: str = "spectral",
@@ -257,33 +292,12 @@ def norm_sequence(f, k, M, p: float, n_max: int, path: str = "spectral",
     kk = kval(k)
     mm = matval(M)
     if path == "spectral":
-        if n_max > MAX_N_SPECTRAL:
-            raise ParameterError(f"spectral path supports n_max <= {MAX_N_SPECTRAL}")
         xr = None if (isinstance(f, Spectrum) and p == 2.0) else _resolve_x_rule(f, x_rule)
         g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
         mu = g.rule.nodes / mm.b
-        logmu = _log_abs(mu)
-        lognorms = []
-        if p == 2.0:
-            base = 2.0 * _log_abs(g.values) + np.log(g.rule.weights)
-            for n in range(n_max + 1):
-                L = 2.0 * n * logmu + base if n else base
-                mx = float(np.max(L))
-                if not np.isfinite(mx):
-                    lognorms.append(-math.inf)
-                else:
-                    lognorms.append(0.5 * (mx + math.log(float(np.sum(np.exp(L - mx))))))
-        else:
-            phase_base = 1j * np.sign(mu)
-            for n in range(n_max + 1):
-                vals, mx = _scaled_multiplier_inverse(
-                    g, n * logmu if n else np.zeros_like(mu), phase_base**n, xr
-                )
-                if not np.isfinite(mx):
-                    lognorms.append(-math.inf)
-                    continue
-                nrm = lp_norm(SampledFunction(xr, vals), p)
-                lognorms.append(mx + math.log(nrm) if nrm > 0 else -math.inf)
+        lognorms = _multiplier_lognorms(g, _log_abs(mu), 1j * np.sign(mu), p, n_max, xr)
+        if p != 2.0:
+            _warn_if_edge_heavy(g, _log_abs(mu), range(n_max + 1))
         return NormSequence.from_lognorms(p, "spectral", lognorms)
     if path == "symbolic":
         if n_max > MAX_N_SYMBOLIC:

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .operators import NormSequence, RealPolynomial, spectrum_of
-from .quadrature import SampledFunction, lp_norm
+from .operators import NormSequence, RealPolynomial, _log_abs, _multiplier_lognorms, spectrum_of
+from .quadrature import SampledFunction
 from .specfun import kval, matval
-from .transform import Spectrum, lcdt_inverse
+from .transform import Spectrum
 
 __all__ = [
     "SupportEstimate",
@@ -220,40 +220,6 @@ def support_radius_oracle(g: Spectrum, threshold: float) -> float:
     return float(np.max(hot) / abs(g.M.b)) if hot.size else 0.0
 
 
-def _mult_lognorms(g: Spectrum, log_mult_of_mu, phases_of_mu, p, n_max, x_rule):
-    """log ||inverse(mult^n g)||_p for n = 0..n_max (p=2 stays spectral)."""
-    mm = g.M
-    mu = g.rule.nodes / mm.b
-    logm1 = log_mult_of_mu(mu)
-    lognorms = []
-    if p == 2.0:
-        with np.errstate(divide="ignore"):
-            base = 2.0 * np.log(np.abs(g.values)) + np.log(g.rule.weights)
-        for n in range(n_max + 1):
-            L = 2.0 * n * logm1 + base if n else base
-            mx = float(np.max(L))
-            lognorms.append(
-                -math.inf if not np.isfinite(mx) else 0.5 * (mx + math.log(float(np.sum(np.exp(L - mx)))))
-            )
-        return lognorms
-    if x_rule is None:
-        raise ParameterError("p != 2 needs a physical rule for the norms")
-    with np.errstate(divide="ignore"):
-        logg = np.log(np.abs(g.values))
-    ang = np.exp(1j * np.angle(g.values))
-    for n in range(n_max + 1):
-        L = n * logm1 + logg if n else logg
-        mx = float(np.max(L))
-        if not np.isfinite(mx):
-            lognorms.append(-math.inf)
-            continue
-        scaled = np.where(np.isneginf(L), 0.0, np.exp(L - mx)) * (phases_of_mu(mu) ** n) * ang
-        h = lcdt_inverse(Spectrum(g.rule, scaled, g.k, mm), x_rule)
-        nrm = lp_norm(h, p)
-        lognorms.append(mx + math.log(nrm) if nrm > 0 else -math.inf)
-    return lognorms
-
-
 def _resolve(f, k, M, lam_rule, x_rule):
     kk = kval(k)
     mm = matval(M)
@@ -269,8 +235,8 @@ def estimate_sigma(f, k, M, p: float = 2.0, n_max: int = 30, method: str = "rati
     if method not in ("root", "ratio"):
         raise ParameterError(f"unknown method {method!r}")
     kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    with np.errstate(divide="ignore"):
-        lognorms = _mult_lognorms(g, lambda mu: np.log(np.abs(mu)), lambda mu: 1j * np.sign(mu), p, n_max, x_rule)
+    mu = g.rule.nodes / mm.b
+    lognorms = _multiplier_lognorms(g, _log_abs(mu), 1j * np.sign(mu), p, n_max, x_rule)
     seq = NormSequence.from_lognorms(p, "spectral", lognorms)
     if seq.is_zero():
         return SupportEstimate(0.0, method, p, n_max, seq, True, {"zero_input": True})
@@ -303,15 +269,8 @@ def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40
     """Is the spectrum inside {lam : |P(lam/b)| <= 1}? Score -> sup |P(lam/b)|."""
     P.require_nonconstant()
     kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    with np.errstate(divide="ignore"):
-        lognorms = _mult_lognorms(
-            g,
-            lambda mu: np.log(np.abs(P(mu))),
-            lambda mu: np.sign(P(mu)),
-            p,
-            n_max,
-            x_rule,
-        )
+    pvals = P(g.rule.nodes / mm.b)
+    lognorms = _multiplier_lognorms(g, _log_abs(pvals), np.sign(pvals), p, n_max, x_rule)
     seq = NormSequence.from_lognorms(p, "spectral", lognorms)
     if seq.is_zero():
         return PolyDomainResult(True, 0.0, n_max, seq, True, {"zero_input": True})
@@ -335,8 +294,8 @@ def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
                           lam_rule=None, x_rule=None) -> CompactSpectrumResult:
     """Laplacian-iterate roots: finite limit means compact spectrum (= sigma^2)."""
     kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    with np.errstate(divide="ignore"):
-        lognorms = _mult_lognorms(g, lambda mu: 2.0 * np.log(np.abs(mu)), lambda mu: -np.ones_like(mu), p, n_max, x_rule)
+    mu = g.rule.nodes / mm.b
+    lognorms = _multiplier_lognorms(g, 2.0 * _log_abs(mu), -np.ones_like(mu), p, n_max, x_rule)
     seq = NormSequence.from_lognorms(p, "spectral", lognorms)
     if seq.is_zero():
         return CompactSpectrumResult(True, 0.0, n_max, seq, True, {"zero_input": True})
@@ -359,32 +318,7 @@ def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
 def _heat_sequence(f, k, M, p, n_max, lam_rule, x_rule):
     kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
     mu2 = (g.rule.nodes / mm.b) ** 2
-    lognorms = []
-    if p == 2.0:
-        with np.errstate(divide="ignore"):
-            base = 2.0 * np.log(np.abs(g.values)) + np.log(g.rule.weights)
-        for n in range(n_max + 1):
-            L = -2.0 * n * mu2 + base
-            mx = float(np.max(L))
-            lognorms.append(
-                -math.inf if not np.isfinite(mx) else 0.5 * (mx + math.log(float(np.sum(np.exp(L - mx)))))
-            )
-    else:
-        if x_rule is None:
-            raise ParameterError("p != 2 needs a physical rule for the norms")
-        with np.errstate(divide="ignore"):
-            logg = np.log(np.abs(g.values))
-        ang = np.exp(1j * np.angle(g.values))
-        for n in range(n_max + 1):
-            L = -float(n) * mu2 + logg
-            mx = float(np.max(L))
-            if not np.isfinite(mx):
-                lognorms.append(-math.inf)
-                continue
-            scaled = np.where(np.isneginf(L), 0.0, np.exp(L - mx)) * ang
-            h = lcdt_inverse(Spectrum(g.rule, scaled, g.k, mm), x_rule)
-            nrm = lp_norm(h, p)
-            lognorms.append(mx + math.log(nrm) if nrm > 0 else -math.inf)
+    lognorms = _multiplier_lognorms(g, -mu2, np.ones_like(mu2), p, n_max, x_rule)
     return NormSequence.from_lognorms(p, "spectral", lognorms)
 
 

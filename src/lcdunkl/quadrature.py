@@ -211,12 +211,17 @@ def integrate(f: SampledFunction) -> complex:
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """L^p norm against the Dunkl measure; p = inf is the grid maximum."""
+    return float(_lp_norms(f.rule.weights, f.values, p))
+
+
+def _lp_norms(weights: np.ndarray, values: np.ndarray, p: float) -> np.ndarray:
+    """L^p norms of the rows of values, whose last axis runs over the nodes of weights."""
     if p == math.inf:
-        return float(np.max(np.abs(f.values))) if len(f.rule) else 0.0
+        return np.max(np.abs(values), axis=-1) if weights.size else np.zeros(values.shape[:-1])
     if p < 1:
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    av = np.abs(f.values)
-    return float(np.sum(f.rule.weights * av**p) ** (1.0 / p))
+    av = np.abs(values)
+    return np.sum(weights * av**p, axis=-1) ** (1.0 / p)
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

@@ -30,6 +30,7 @@ __all__ = [
     "lcdt_inverse",
     "chirp_factorized_forward",
     "dunkl_transform",
+    "dunkl_values_at",
     "tail_mass_estimate",
 ]
 
@@ -138,25 +139,29 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
 
 
 def _fold_columns(inv: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
-    """Sums of v over the n fold classes of inv, as (re, im) columns."""
-    return np.stack([np.bincount(inv, v.real, n), np.bincount(inv, v.imag, n)], axis=1)
+    """Sums of the rows of v over the n fold classes of inv, as (re, im) column pairs."""
+    r = np.ascontiguousarray(v, dtype=np.complex128).reshape(inv.size, -1).view(np.float64)
+    c = r.shape[1]
+    return np.bincount((inv[:, None] * c + np.arange(c)).ravel(), r.ravel(), n * c).reshape(n, c)
 
 
 def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float):
     """sum_j w_j f_j E_k(-i freq inv_b, x_j) for every frequency.
 
-    w f folds onto unique|x| as an even sum and a sign(x)-weighted odd
-    sum; each meets its real table in one GEMM against (re, im) columns,
-    and the odd part unfolds with the sign of freq * inv_b.
+    fvals is a vector or an (n_x, m) block, whose columns are transformed
+    together. w f folds onto unique|x| as an even sum and a sign(x)-weighted
+    odd sum; each meets its real table in one GEMM against (re, im)
+    columns, and the odd part unfolds with the sign of freq * inv_b.
     """
     x = rule.nodes
     fa, finv = np.unique(np.abs(freqs), return_inverse=True)
     xa, xinv = np.unique(np.abs(x), return_inverse=True)
     even, odd = _bessel_tables(k, fa, xa, 1.0 / abs(inv_b))
-    wf = rule.weights * fvals
-    ev = (even @ _fold_columns(xinv, xa.size, wf)).view(np.complex128)[:, 0]
-    od = (odd @ _fold_columns(xinv, xa.size, np.sign(x) * wf)).view(np.complex128)[:, 0]
-    return ev[finv] - 1j * np.sign(freqs * inv_b) * od[finv]
+    wf = rule.weights[:, None] * fvals.reshape(x.size, -1)
+    ev = (even @ _fold_columns(xinv, xa.size, wf)).view(np.complex128)
+    od = (odd @ _fold_columns(xinv, xa.size, np.sign(x)[:, None] * wf)).view(np.complex128)
+    out = ev[finv] - 1j * np.sign(freqs * inv_b)[:, None] * od[finv]
+    return out.reshape(freqs.shape + fvals.shape[1:])
 
 
 def _as_sampled(f, x_rule, k):
@@ -211,6 +216,19 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
     return total
 
 
+def _lcdt_apply(k: float, M: CanonicalMatrix, lam: np.ndarray, rule: QuadratureRule, fvals: np.ndarray):
+    """(ib)^(-(k+1)) e^{i d lam^2/(2b)} core(e^{i a x^2/(2b)} f) at the frequencies lam.
+
+    fvals is a vector of samples on rule or an (n_x, m) block of columns.
+    """
+    x = rule.nodes
+    col = (slice(None),) + (None,) * (fvals.ndim - 1)
+    chirp_x = np.exp(0.5j * (M.a / M.b) * x * x)[col]
+    chirp_l = np.exp(0.5j * (M.d / M.b) * lam * lam)[col]
+    core = _core_apply(k, lam, rule, chirp_x * fvals, 1.0 / M.b)
+    return principal_power(1j * M.b, -(k + 1.0)) * chirp_l * core
+
+
 def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | None = None) -> "Spectrum":
     """D^M_k(f) on the nodes of lam_rule.
 
@@ -223,13 +241,7 @@ def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | Non
     fs, warns = _as_sampled(f, x_rule, kk)
     if fs.rule.k != kk or lam_rule.k != kk:
         raise ParameterError("rules were built for a different Dunkl parameter")
-    lam = lam_rule.nodes
-    x = fs.rule.nodes
-    chirp_x = np.exp(0.5j * (mm.a / mm.b) * x * x)
-    chirp_l = np.exp(0.5j * (mm.d / mm.b) * lam * lam)
-    core = _core_apply(kk, lam, fs.rule, chirp_x * fs.values, 1.0 / mm.b)
-    pref = principal_power(1j * mm.b, -(kk + 1.0))
-    values = pref * chirp_l * core
+    values = _lcdt_apply(kk, mm, lam_rule.nodes, fs.rule, fs.values)
     for w in warns:
         _warnings.warn(w, AccuracyWarning)
     return Spectrum(rule=lam_rule, values=values, k=kk, M=mm, label=getattr(f, "label", ""), warnings=warns)

@@ -68,6 +68,12 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         ("transform", {"k": 1e308}, "k"),
         ("estimate", {"estimator": {"n_max": "x"}}, "estimator.n_max"),
         ("estimate", {"estimator": {"p": "x"}}, "estimator.p"),
+        ("estimate", {"estimator": {"n_max": 0}}, "estimator.n_max"),
+        ("estimate", {"estimator": {"n_max": -1}}, "estimator.n_max"),
+        ("estimate", {"estimator": {"n_max": 61}}, "estimator.n_max"),
+        ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}, "grid": {"x_panels": "abc"}}, "grid"),
+        ("transform", {"matrix": {"d": "x"}}, "matrix"),
+        ("transform", {"function": {"type": "bump", "intervals": [[1, "a"]]}}, "function.intervals"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):

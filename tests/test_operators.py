@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
+from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
 from lcdunkl.errors import ParameterError
 from lcdunkl.operators import (
     RealPolynomial,
+    _multiplier_lognorms,
     apply_poly_op,
     apply_power_spectral,
     heat_semigroup,
@@ -16,6 +17,7 @@ from lcdunkl.operators import (
 from lcdunkl.quadrature import SampledFunction, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
+from lcdunkl.transform import Spectrum, lcdt_forward, lcdt_inverse
 
 M_SHEAR = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
 M_ROT = CanonicalMatrix.rotation(math.pi / 3)
@@ -192,7 +194,56 @@ def test_norm_sequence_consistency_and_csv(prof):
 
 def test_norm_sequence_budgets(prof):
     f = gaussian(-0.5)
-    with pytest.raises(ParameterError):
-        norm_sequence(f, K, M_SHEAR, 2.0, 61, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+    for n_max in (0, -1, 61):
+        with pytest.raises(ParameterError):
+            norm_sequence(f, K, M_SHEAR, 2.0, n_max, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
     with pytest.raises(ParameterError):
         norm_sequence(f, K, M_SHEAR, 2.0, 31, path="symbolic", x_rule=prof.x_rule)
+
+
+def _lognorms_one_n_at_a_time(g, log_mult, phase, p, n_max, x_rule):
+    """Reference for _multiplier_lognorms: one inverse transform and one lp_norm per n."""
+    with np.errstate(divide="ignore"):
+        logg = np.log(np.abs(g.values))
+    ang = np.exp(1j * np.angle(g.values))
+    out = []
+    for n in range(n_max + 1):
+        L = n * log_mult + logg if n else logg
+        mx = float(np.max(L))
+        if not np.isfinite(mx):
+            out.append(-math.inf)
+            continue
+        scaled = np.where(np.isneginf(L), 0.0, np.exp(L - mx)) * phase**n * ang
+        nrm = lp_norm(lcdt_inverse(Spectrum(g.rule, scaled, g.k, g.M), x_rule), p)
+        out.append(mx + math.log(nrm) if nrm > 0 else -math.inf)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_batched_lognorms_match_one_n_at_a_time(prof, p):
+    M_NEG = CanonicalMatrix(1.0, -0.9, 0.0, 1.0)
+    lam = prof.lam_rule.nodes
+    spectra = [
+        lcdt_forward(gaussian(-0.5), K, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule),
+        Spectrum(prof.lam_rule, bump_spectrum_values(lam, ((-2.0, -0.5), (1.0, 2.0))), K, M_NEG),
+        Spectrum(prof.lam_rule, np.zeros(lam.shape), K, M_NEG),
+    ]
+    for g in spectra:
+        mu = lam / g.M.b
+        P = RealPolynomial((0.5 * mu[7] ** 2, 0.0, -0.5))
+        assert P(mu[7]) == 0.0  # an exact zero of the multiplier on a node
+        with np.errstate(divide="ignore"):
+            multipliers = [
+                (np.log(np.abs(mu)), 1j * np.sign(mu)),  # i mu
+                (np.log(np.abs(P(mu))), np.sign(P(mu))),  # P(mu)
+                (2.0 * np.log(np.abs(mu)), -np.ones_like(mu)),  # -mu^2
+                (-(mu**2), np.ones_like(mu)),  # heat exp(-n mu^2)
+            ]
+        for log_mult, phase in multipliers:
+            got = np.array(_multiplier_lognorms(g, log_mult, phase, p, 12, prof.x_rule))
+            want = _lognorms_one_n_at_a_time(g, log_mult, phase, p, 12, prof.x_rule)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            live = np.isfinite(want)
+            assert np.all(np.isfinite(got[live]))
+            assert np.max(np.abs(got[live] - want[live]), initial=0.0) <= 1e-12
+    assert np.all(np.isneginf(got))  # the all-zero spectrum

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lcdunkl import transform
 from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
 from lcdunkl.errors import ParameterError
 from lcdunkl.operators import RealPolynomial
@@ -188,3 +189,36 @@ def test_p_independence_of_root_estimates(pipe12):
         for p in (1.0, 2.0, math.inf)
     ]
     assert (max(ests) - min(ests)) / min(ests) <= 0.10
+
+
+@pytest.mark.parametrize("n_max", [0, -1, 61])
+def test_estimators_bound_n_max(pipe12, n_max):
+    prof, f, spec = pipe12
+    P = RealPolynomial((0.0, 0.0, 0.25))
+    calls = [
+        lambda: estimate_sigma(spec, K, M_SHEAR, n_max=n_max),
+        lambda: poly_domain_test(spec, K, M_SHEAR, P, n_max=n_max),
+        lambda: compact_spectrum_test(spec, K, M_SHEAR, n_max=n_max),
+        lambda: estimate_delta(spec, K, M_SHEAR, n_max=n_max),
+        lambda: vanishing_interval_detect(spec, K, M_SHEAR, n_max=n_max),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="n_max"):
+            call()
+
+
+def test_one_contraction_per_norm_sequence(pipe12, monkeypatch):
+    prof, f, spec = pipe12
+    calls = []
+    core_apply = transform._core_apply
+
+    def counted(*args):
+        calls.append(args[3].shape)
+        return core_apply(*args)
+
+    monkeypatch.setattr(transform, "_core_apply", counted)
+    compact_spectrum_test(spec, K, M_SHEAR, p=1.0, n_max=40, x_rule=prof.x_rule)
+    assert calls == [(len(prof.lam_rule), 41)]
+    calls.clear()
+    estimate_sigma(f, K, M_SHEAR, p=math.inf, n_max=30, method="root", lam_rule=prof.lam_rule)
+    assert calls == [(len(prof.x_rule),), (len(prof.lam_rule), 31)]
