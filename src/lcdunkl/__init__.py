@@ -6,7 +6,6 @@ Sobolev-norm machinery, and spectral-support estimators built on
 real Paley-Wiener limits.
 """
 
-from ._kernels import active_backend, set_backend
 from .errors import (
     AccuracyWarning,
     ComputationError,

@@ -8,6 +8,7 @@ turns that operator into multiplication by (i lam / b).
 """
 
 import math
+import sys
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ SERIES_TAIL_TOL = 1e-12
 # exceeds the 1e-6 agreement target: partial sums reach exp(q)
 SERIES_Q_MAX = 21.0
 EDGE_WARN_FRACTION = 1e-8
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,11 @@ def _apply_multiplier(g: Spectrum, log_mult, phase, n, x_rule):
     """Inverse transform of phase^n |mult|^n g on x_rule."""
     _warn_if_edge_heavy(g, log_mult, [n])
     (vals,), (mx,) = _multiplier_inverses(g, log_mult, phase, [n], x_rule)
-    return vals * math.exp(mx) if np.isfinite(mx) else vals
+    if mx <= LOG_FLOAT_MAX:
+        out = vals * math.exp(mx)
+        if np.all(np.isfinite(out)):
+            return out
+    raise ComputationError("operator power overflowed; use norm_sequence for large n")
 
 
 def _multiplier_inverses(g: Spectrum, log_mult, phase, ns, x_rule):
@@ -212,8 +218,6 @@ def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> Sampled
     g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
     mu = g.rule.nodes / mm.b
     out = _apply_multiplier(g, _log_abs(mu), 1j * np.sign(mu), n, xr)
-    if not np.all(np.isfinite(out.real)):
-        raise ComputationError("operator power overflowed; use norm_sequence for large n")
     return SampledFunction(xr, out, label=getattr(f, "label", ""))
 
 

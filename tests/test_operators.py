@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
-from lcdunkl.errors import ParameterError
+from lcdunkl.errors import ComputationError, ParameterError
 from lcdunkl.operators import (
     RealPolynomial,
     _multiplier_lognorms,
@@ -97,6 +97,18 @@ def test_poly_op_bounded_multiplier_contracts():
     for n in (1, 2):
         out = apply_poly_op(f, K, M_SHEAR, P, n, lam_rule=profb.lam_rule)
         assert lp_norm(out, 2.0) <= base * (1.0 + 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::lcdunkl.errors.AccuracyWarning")
+def test_power_overflow_raises_computation_error(prof):
+    # (lam/b)^n scales the spectrum past e^709: the documented error, not
+    # a bare OverflowError from the rescaling
+    f = gaussian(-0.5)
+    with pytest.raises(ComputationError):
+        apply_power_spectral(f, K, M_SHEAR, 400, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+    P = RealPolynomial((0.0, 0.0, 1.0))
+    with pytest.raises(ComputationError):
+        apply_poly_op(f, K, M_SHEAR, P, 200, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
 
 
 def test_heat_modes_agree(heat_prof):

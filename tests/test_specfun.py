@@ -88,13 +88,35 @@ def test_bessel_accuracy_against_oracle(nu):
 
 @pytest.mark.parametrize("nu", [0.0, 0.8, 2.0, 4.0])
 def test_bessel_regime_overlap_band(nu):
-    # the tier boundaries must be seamless: compare against the oracle
-    # on both sides of each cut
-    for cut in (7.5, 18.0):
+    # the evaluator must be seamless where it leaves the power series
+    # (|u| = 7.5 or |u| = 4 sqrt(nu+1)): compare against the oracle on
+    # both sides of each cut, and around |u| = 18
+    for cut in (7.5, 18.0, 4.0 * math.sqrt(nu + 1.0)):
         xs = np.linspace(cut - 0.5, cut + 0.5, 21)
         vals = bessel_j_grid(nu, xs)
         refs = np.array([jk_oracle(nu, x) for x in xs])
         assert np.max(np.abs(vals - refs)) <= 1e-12
+
+
+def besselj_ref(nu, x):
+    # Gamma(nu+1) (2/x)^nu J_nu(x) from mpmath's J_nu, which reaches the
+    # large |x| the series oracle cannot
+    if x == 0:
+        return 1.0
+    nu, x = mp.mpf(nu), mp.mpf(abs(x))
+    return float(mp.gamma(nu + 1) * (2 / x) ** nu * mp.besselj(nu, x))
+
+
+@pytest.mark.parametrize("nu", [3.5, 6.0, 150.5, 151.0])
+def test_bessel_large_argument_and_order(nu):
+    # the whole supported range |u| <= 2000, at half-integer and other
+    # orders up to k + 1 = 151, the largest the CLI accepts
+    xs = np.concatenate([np.linspace(0.0, 2000.0, 81), [49.0, 49.5, 1234.567, 1999.9]])
+    vals = bessel_j_grid(nu, xs)
+    assert np.all(np.isfinite(vals))
+    for x, got in zip(xs, vals):
+        ref = besselj_ref(nu, x)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_bessel_parity():
@@ -106,6 +128,10 @@ def test_bessel_parity():
 def test_bessel_range_guard():
     with pytest.raises(RangeError):
         bessel_j_norm(0.0, 5e3)
+    # far past the orders the transform uses, Gamma(nu+1) (2/u)^nu
+    # overflows where J_nu underflows: an error, never a NaN
+    with pytest.raises(RangeError):
+        bessel_j_grid(600.0, np.linspace(0.0, 2000.0, 41))
 
 
 def test_dunkl_kernel_trivial_lam_zero():

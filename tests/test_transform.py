@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcdunkl import transform
-from lcdunkl.corpus import gauss_profile
+from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
 from lcdunkl.errors import ParameterError
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
 from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_grid, principal_power
@@ -284,3 +284,17 @@ def test_table_cache_evicts_by_bytes(monkeypatch):
     transform._tables.clear()
     assert np.array_equal(lcdt_forward(f, FOLD_K, M_BPOS, prof.lam_rule).values, first)
     assert not transform._tables
+
+
+def test_bump_round_trip_at_large_order():
+    # k = 2.4 puts the odd kernel part at order k + 1 = 3.4: realize the
+    # constructed bump physically (3120 x-nodes, 528 lambda-nodes) and
+    # transform it back
+    k, M, intervals = 2.4, CanonicalMatrix(1.0, 1.0, 0.0, 1.0), ((1.0, 2.0),)
+    prof = bump_profile(k, intervals)
+    f, spec = realize_bump(k, M, intervals, prof)
+    back = lcdt_forward(f, k, M, prof.lam_rule)
+    lam = prof.lam_rule.nodes
+    inside = (lam > 1.0) & (lam < 2.0)
+    peak = np.max(np.abs(spec.values))
+    assert np.max(np.abs(back.values - spec.values)[inside]) <= 1e-5 * peak
