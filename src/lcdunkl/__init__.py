@@ -23,11 +23,7 @@ from .operators import (
     norm_sequence,
 )
 from .paleywiener import (
-    CompactSpectrumResult,
-    GapEstimate,
-    PolyDomainResult,
-    SupportEstimate,
-    VanishingResult,
+    Estimate,
     compact_spectrum_test,
     estimate_delta,
     estimate_sigma,

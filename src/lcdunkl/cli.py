@@ -12,18 +12,12 @@ import os
 import sys
 import tempfile
 
+from . import paleywiener
 from . import verify as verify_mod
 from .corpus import bump_profile, gauss_profile, realize_bump
 from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismatchError
 from .operators import MAX_N_SPECTRAL, RealPolynomial
-from .paleywiener import (
-    compact_spectrum_test,
-    estimate_delta,
-    estimate_sigma,
-    poly_domain_test,
-    support_radius_oracle,
-    vanishing_interval_detect,
-)
+from .paleywiener import support_radius_oracle
 from .specfun import CanonicalMatrix, DunklParameter
 from .symfun import expr_from_json
 from .transform import lcdt_forward
@@ -43,6 +37,10 @@ DEFAULT_CONFIG = {
     "estimator": {"p": 2.0, "n_max": 30, "method": "ratio", "poly": [0.0, 0.0, 0.25]},
 }
 
+# `estimate --which` choice -> estimator name in paleywiener
+ESTIMATORS = {"sigma": "estimate_sigma", "delta": "estimate_delta", "poly": "poly_domain_test",
+              "compact": "compact_spectrum_test", "vanishing": "vanishing_interval_detect"}
+
 
 class ConfigError(Exception):
     def __init__(self, field, message):
@@ -54,7 +52,9 @@ class ConfigError(Exception):
 def _merge_defaults(cfg):
     out = json.loads(json.dumps(DEFAULT_CONFIG))
     for key, val in (cfg or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if isinstance(out.get(key), dict):
+            if not isinstance(val, dict):
+                raise ConfigError(key, f"must be a JSON object, got {val!r}")
             out[key].update(val)
         else:
             out[key] = val
@@ -114,7 +114,7 @@ def _build_context(cfg):
     if kind == "symexpr":
         try:
             expr = expr_from_json(fn["expr"])
-        except (KeyError, ParameterError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, ParameterError) as exc:
             raise ConfigError("function.expr", f"invalid expression: {exc}")
         g = cfg["grid"]
         try:
@@ -175,40 +175,42 @@ def _estimator_number(est_cfg, name, convert, kind):
         raise ConfigError(f"estimator.{name}", f"must be {kind}, got {est_cfg[name]!r}")
 
 
+def _estimator_poly(est_cfg):
+    try:
+        P = RealPolynomial(tuple(est_cfg["poly"]))
+    except (TypeError, ValueError, ParameterError):
+        P = None
+    if P is None or P.degree < 1 or not all(map(math.isfinite, P.coefficients)):
+        raise ConfigError("estimator.poly", f"must list finite ascending coefficients of a "
+                                            f"non-constant polynomial, got {est_cfg['poly']!r}")
+    return P
+
+
 def cmd_estimate(cfg, which, out_dir):
     est_cfg = cfg["estimator"]
-    p = est_cfg.get("p")
-    p = math.inf if p in ("inf", math.inf) else _estimator_number(est_cfg, "p", float, "a number or 'inf'")
+    p = _estimator_number(est_cfg, "p", float, "a number >= 1 or 'inf'")
+    if not p >= 1:
+        raise ConfigError("estimator.p", f"must be a number >= 1 or 'inf', got {est_cfg['p']!r}")
     n_max = _estimator_number(est_cfg, "n_max", int, "a finite integer")
     if not 1 <= n_max <= MAX_N_SPECTRAL:
         raise ConfigError("estimator.n_max", f"must lie in [1, {MAX_N_SPECTRAL}], got {n_max}")
-    method = est_cfg.get("method", "ratio")
+    method = est_cfg["method"]
+    if method not in paleywiener.METHODS:
+        raise ConfigError("estimator.method", f"must be one of {list(paleywiener.METHODS)}, got {method!r}")
+    P = _estimator_poly(est_cfg)
     k, M, prof, (kind, data) = _build_context(cfg)
+    f, oracle = data, None
     if kind == "bump":
         physical, spec = realize_bump(k, M, data, prof)
-        spectral_input = spec
+        f = physical if which == "sigma" else spec
         oracle = support_radius_oracle(spec, 1e-10)
-    else:
-        physical, spectral_input, oracle = data, None, None
 
-    kwargs = {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    args = (f, k, M, P) if which == "poly" else (f, k, M)
+    kwargs = {"p": p, "n_max": max(n_max, 40), "lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
     if which == "sigma":
-        res = estimate_sigma(physical, k, M, p=p, n_max=n_max, method=method, **kwargs)
-    elif which == "delta":
-        res = estimate_delta(spectral_input if spectral_input is not None else physical,
-                             k, M, p=p, n_max=max(n_max, 40), **kwargs)
-    elif which == "poly":
-        P = RealPolynomial(tuple(est_cfg.get("poly", [0.0, 0.0, 0.25])))
-        res = poly_domain_test(spectral_input if spectral_input is not None else physical,
-                               k, M, P, p=p, n_max=max(n_max, 40), **kwargs)
-    elif which == "compact":
-        res = compact_spectrum_test(spectral_input if spectral_input is not None else physical,
-                                    k, M, p=p, n_max=max(n_max, 40), **kwargs)
-    elif which == "vanishing":
-        res = vanishing_interval_detect(spectral_input if spectral_input is not None else physical,
-                                        k, M, p=p, n_max=max(n_max, 40), **kwargs)
-    else:
-        raise ConfigError("which", f"unknown estimator {which!r}")
+        kwargs.update(n_max=n_max, method=method)
+    # looked up at call time, so a rebound module attribute (a tracing wrapper) is honoured
+    res = getattr(paleywiener, ESTIMATORS[which])(*args, **kwargs)
     os.makedirs(out_dir, exist_ok=True)
     report = res.to_report()
     report["which"] = which
@@ -247,8 +249,7 @@ def main(argv=None) -> int:
     p_es = sub.add_parser("estimate", help="run a spectral-support estimator")
     p_es.add_argument("--config", default=None)
     p_es.add_argument("--out", default="out")
-    p_es.add_argument("--which", default="sigma",
-                      choices=["sigma", "delta", "poly", "compact", "vanishing"])
+    p_es.add_argument("--which", default="sigma", choices=list(ESTIMATORS))
 
     p_ve = sub.add_parser("verify", help="run the built-in verification suites")
     p_ve.add_argument("--config", default=None)

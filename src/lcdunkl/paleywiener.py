@@ -15,6 +15,10 @@ Each estimator turns a norm sequence into a support statistic:
   -log ||h_n|| / n is extrapolated with its Laplace-type correction
   terms [1, n^(-1/2), log(n)/n, 1/n].
 
+Every estimator returns one `Estimate`: its headline values (which
+`to_report` leads with and which also read as attributes), the norm
+sequence, a convergence flag and diagnostics.
+
 Divergence (sigma = infinity) is declared when the root sequence keeps
 climbing at the end (terminal slope test) or lands at the resolved band
 edge; a truncated grid cannot distinguish "support beyond the edge"
@@ -41,11 +45,7 @@ from .specfun import kval, matval
 from .transform import Spectrum
 
 __all__ = [
-    "SupportEstimate",
-    "GapEstimate",
-    "PolyDomainResult",
-    "CompactSpectrumResult",
-    "VanishingResult",
+    "Estimate",
     "support_radius_oracle",
     "estimate_sigma",
     "poly_domain_test",
@@ -54,6 +54,7 @@ __all__ = [
     "vanishing_interval_detect",
 ]
 
+METHODS = ("root", "ratio")
 POLY_SCORE_TOL = 0.02
 CONVERGED_REL_CHANGE = 0.01
 DIVERGENCE_SLOPE = 0.15
@@ -116,96 +117,29 @@ def _grid_limit(g: Spectrum) -> float:
 
 
 @dataclass(frozen=True)
-class SupportEstimate:
-    sigma_hat: float
-    method: str
-    p: float
+class Estimate:
+    """One estimator's answer: headline values, the norm sequence behind them, diagnostics.
+
+    The headline values also read as attributes (``est.sigma_hat``). They are
+    sigma_hat, method, p (estimate_sigma); inside, score (poly_domain_test);
+    compact, sigma2_hat (compact_spectrum_test); delta_hat (estimate_delta);
+    r_hat (vanishing_interval_detect).
+    """
+
+    values: dict
     n_used: int
     sequence: NormSequence
     converged: bool
     diagnostics: dict = field(default_factory=dict)
 
-    def to_report(self) -> dict:
-        return {
-            "sigma_hat": self.sigma_hat,
-            "method": self.method,
-            "p": self.p,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "diagnostics": self.diagnostics,
-        }
-
-
-@dataclass(frozen=True)
-class GapEstimate:
-    delta_hat: float
-    n_used: int
-    sequence: NormSequence
-    converged: bool
-    diagnostics: dict = field(default_factory=dict)
+    def __getattr__(self, name):
+        values = self.__dict__.get("values", {})
+        if name in values:
+            return values[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def to_report(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "diagnostics": self.diagnostics,
-        }
-
-
-@dataclass(frozen=True)
-class PolyDomainResult:
-    inside: bool
-    score: float
-    n_used: int
-    sequence: NormSequence
-    converged: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_report(self) -> dict:
-        return {
-            "inside": self.inside,
-            "score": self.score,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "diagnostics": self.diagnostics,
-        }
-
-
-@dataclass(frozen=True)
-class CompactSpectrumResult:
-    compact: bool
-    sigma2_hat: float
-    n_used: int
-    sequence: NormSequence
-    converged: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_report(self) -> dict:
-        return {
-            "compact": self.compact,
-            "sigma2_hat": self.sigma2_hat,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "diagnostics": self.diagnostics,
-        }
-
-
-@dataclass(frozen=True)
-class VanishingResult:
-    r_hat: float
-    n_used: int
-    sequence: NormSequence
-    converged: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_report(self) -> dict:
-        return {
-            "r_hat": self.r_hat,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "diagnostics": self.diagnostics,
-        }
+        return {**self.values, "n_used": self.n_used, "converged": self.converged, "diagnostics": self.diagnostics}
 
 
 def support_radius_oracle(g: Spectrum, threshold: float) -> float:
@@ -220,85 +154,74 @@ def support_radius_oracle(g: Spectrum, threshold: float) -> float:
     return float(np.max(hot) / abs(g.M.b)) if hot.size else 0.0
 
 
-def _resolve(f, k, M, lam_rule, x_rule):
-    kk = kval(k)
+def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier):
+    """Spectrum g of f and the norms of inverse(m^n g), n <= n_max; multiplier: mu -> (log|m|, m/|m|)."""
     mm = matval(M)
     if isinstance(f, SampledFunction) and x_rule is None:
         x_rule = f.rule
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=x_rule)
-    return kk, mm, g, x_rule
+    g = spectrum_of(f, kval(k), mm, lam_rule, x_rule=x_rule)
+    log_mult, phase = multiplier(g.rule.nodes / mm.b)
+    return g, NormSequence.from_lognorms(p, "spectral", _multiplier_lognorms(g, log_mult, phase, p, n_max, x_rule))
+
+
+def _zero_input(n_max, seq, **values) -> Estimate:
+    return Estimate(values, n_max, seq, True, {"zero_input": True})
 
 
 def estimate_sigma(f, k, M, p: float = 2.0, n_max: int = 30, method: str = "ratio",
-                   lam_rule=None, x_rule=None) -> SupportEstimate:
+                   lam_rule=None, x_rule=None) -> Estimate:
     """Support radius via the Paley-Wiener limit of operator-power norms."""
-    if method not in ("root", "ratio"):
+    if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
-    kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    mu = g.rule.nodes / mm.b
-    lognorms = _multiplier_lognorms(g, _log_abs(mu), 1j * np.sign(mu), p, n_max, x_rule)
-    seq = NormSequence.from_lognorms(p, "spectral", lognorms)
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (_log_abs(mu), 1j * np.sign(mu)))
     if seq.is_zero():
-        return SupportEstimate(0.0, method, p, n_max, seq, True, {"zero_input": True})
+        return _zero_input(n_max, seq, sigma_hat=0.0, method=method, p=p)
     ns = seq.n[1:]
     roots = seq.root[1:]
     glim = _grid_limit(g)
+    est, slope, rms = _root_extrapolate(ns, roots)
+    last_root = float(roots[-1])
     if method == "root":
-        est, slope, rms = _root_extrapolate(ns, roots)
-        last = float(roots[-1])
-        diverging = n_max * slope / max(last, 1e-300) > DIVERGENCE_SLOPE or est >= EDGE_FRACTION * glim
-        converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300)
-        diag = {"last_root": last, "terminal_slope": slope, "fit_rms": rms, "grid_limit": glim}
-        if diverging:
-            return SupportEstimate(math.inf, method, p, n_max, seq, False, diag)
-        return SupportEstimate(est, method, p, n_max, seq, converged, diag)
-    ratios = seq.ratio[1:]
-    est, rms = _accel_extrapolate(ns, ratios)
-    last = float(ratios[-1])
-    _, slope, _ = _root_extrapolate(ns, roots)
-    diverging = n_max * slope / max(float(roots[-1]), 1e-300) > DIVERGENCE_SLOPE or est >= EDGE_FRACTION * glim
-    converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300) or rms < 1e-3 * abs(est)
-    diag = {"last_ratio": last, "fit_rms": rms, "grid_limit": glim}
-    if diverging:
-        return SupportEstimate(math.inf, method, p, n_max, seq, False, diag)
-    return SupportEstimate(est, method, p, n_max, seq, converged, diag)
+        converged = abs(est - last_root) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300)
+        diag = {"last_root": last_root, "terminal_slope": slope, "fit_rms": rms, "grid_limit": glim}
+    else:
+        ratios = seq.ratio[1:]
+        est, rms = _accel_extrapolate(ns, ratios)
+        last = float(ratios[-1])
+        converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300) or rms < 1e-3 * abs(est)
+        diag = {"last_ratio": last, "fit_rms": rms, "grid_limit": glim}
+    if n_max * slope / max(last_root, 1e-300) > DIVERGENCE_SLOPE or est >= EDGE_FRACTION * glim:
+        est, converged = math.inf, False
+    return Estimate({"sigma_hat": est, "method": method, "p": p}, n_max, seq, converged, diag)
 
 
 def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40,
-                     lam_rule=None, x_rule=None) -> PolyDomainResult:
+                     lam_rule=None, x_rule=None) -> Estimate:
     """Is the spectrum inside {lam : |P(lam/b)| <= 1}? Score -> sup |P(lam/b)|."""
     P.require_nonconstant()
-    kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    pvals = P(g.rule.nodes / mm.b)
-    lognorms = _multiplier_lognorms(g, _log_abs(pvals), np.sign(pvals), p, n_max, x_rule)
-    seq = NormSequence.from_lognorms(p, "spectral", lognorms)
+
+    def multiplier(mu):
+        pvals = P(mu)
+        return _log_abs(pvals), np.sign(pvals)
+
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier)
     if seq.is_zero():
-        return PolyDomainResult(True, 0.0, n_max, seq, True, {"zero_input": True})
-    ns = seq.n[1:]
+        return _zero_input(n_max, seq, inside=True, score=0.0)
     with np.errstate(invalid="ignore"):
         logratios = np.diff(seq.lognorm)
-    score, rms = _accel_extrapolate_log(ns, logratios)
+    score, rms = _accel_extrapolate_log(seq.n[1:], logratios)
     last = float(seq.root[-1])
     converged = abs(score - last) < 0.15 * max(abs(score), 1e-300) or rms < 1e-3
-    return PolyDomainResult(
-        bool(score <= 1.0 + POLY_SCORE_TOL),
-        score,
-        n_max,
-        seq,
-        converged,
-        {"final_root": last, "fit_rms": rms},
-    )
+    return Estimate({"inside": bool(score <= 1.0 + POLY_SCORE_TOL), "score": score}, n_max, seq, converged,
+                    {"final_root": last, "fit_rms": rms})
 
 
 def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
-                          lam_rule=None, x_rule=None) -> CompactSpectrumResult:
+                          lam_rule=None, x_rule=None) -> Estimate:
     """Laplacian-iterate roots: finite limit means compact spectrum (= sigma^2)."""
-    kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    mu = g.rule.nodes / mm.b
-    lognorms = _multiplier_lognorms(g, 2.0 * _log_abs(mu), -np.ones_like(mu), p, n_max, x_rule)
-    seq = NormSequence.from_lognorms(p, "spectral", lognorms)
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (2.0 * _log_abs(mu), -np.ones_like(mu)))
     if seq.is_zero():
-        return CompactSpectrumResult(True, 0.0, n_max, seq, True, {"zero_input": True})
+        return _zero_input(n_max, seq, compact=True, sigma2_hat=0.0)
     ns = seq.n[1:]
     roots = seq.root[1:]
     _, slope, _ = _root_extrapolate(ns, roots)
@@ -307,51 +230,51 @@ def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
     sigma2, rms = _accel_extrapolate_log(ns, logratios)
     last = float(roots[-1])
     glim2 = _grid_limit(g) ** 2
-    diverging = n_max * slope / max(last, 1e-300) > DIVERGENCE_SLOPE_SQUARED or sigma2 >= (EDGE_FRACTION**2) * glim2
     diag = {"final_root": last, "terminal_slope": slope, "fit_rms": rms, "grid_limit_sq": glim2}
-    if diverging:
-        return CompactSpectrumResult(False, math.inf, n_max, seq, False, diag)
     converged = abs(sigma2 - last) < 0.15 * max(abs(sigma2), 1e-300) or rms < 1e-3
-    return CompactSpectrumResult(True, sigma2, n_max, seq, converged, diag)
+    compact = not (n_max * slope / max(last, 1e-300) > DIVERGENCE_SLOPE_SQUARED or sigma2 >= (EDGE_FRACTION**2) * glim2)
+    if not compact:
+        sigma2, converged = math.inf, False
+    return Estimate({"compact": compact, "sigma2_hat": sigma2}, n_max, seq, converged, diag)
 
 
-def _heat_sequence(f, k, M, p, n_max, lam_rule, x_rule):
-    kk, mm, g, x_rule = _resolve(f, k, M, lam_rule, x_rule)
-    mu2 = (g.rule.nodes / mm.b) ** 2
-    lognorms = _multiplier_lognorms(g, -mu2, np.ones_like(mu2), p, n_max, x_rule)
-    return NormSequence.from_lognorms(p, "spectral", lognorms)
-
-
-def estimate_delta(f, k, M, p: float = 2.0, n_max: int = 40,
-                   lam_rule=None, x_rule=None) -> GapEstimate:
-    """Spectral gap inf |lam/b|^2 via heat-semigroup norm decay."""
-    seq = _heat_sequence(f, k, M, p, n_max, lam_rule, x_rule)
+def _heat_limit(f, k, M, p, n_max, lam_rule, x_rule):
+    """Heat norm sequence, extrapolated lim -log||h_n|| / n (None for zero input), last value, fit rms."""
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (-(mu**2), np.ones_like(mu)))
     if seq.is_zero():
-        return GapEstimate(math.inf, n_max, seq, True, {"zero_input": True})
+        return seq, None, None, None
     ns = seq.n[1:]
     d = -seq.lognorm[1:] / ns
     est, rms = _heat_extrapolate(ns, d)
+    return seq, est, float(d[-1]), rms
+
+
+def _heat_converged(est, last, rms):
+    scale = max(abs(est), 1.0)
+    return abs(est - last) < CONVERGED_REL_CHANGE * scale or rms < 2e-3 * scale
+
+
+def estimate_delta(f, k, M, p: float = 2.0, n_max: int = 40,
+                   lam_rule=None, x_rule=None) -> Estimate:
+    """Spectral gap inf |lam/b|^2 via heat-semigroup norm decay."""
+    seq, est, last, rms = _heat_limit(f, k, M, p, n_max, lam_rule, x_rule)
+    if est is None:
+        return _zero_input(n_max, seq, delta_hat=math.inf)
     est = max(0.0, est)
-    last = float(d[-1])
-    converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1.0) or rms < 2e-3 * max(abs(est), 1.0)
-    return GapEstimate(est, n_max, seq, converged, {"last_value": last, "fit_rms": rms})
+    return Estimate({"delta_hat": est}, n_max, seq, _heat_converged(est, last, rms),
+                    {"last_value": last, "fit_rms": rms})
 
 
 def vanishing_interval_detect(g, k, M, p: float = 2.0, n_max: int = 40,
-                              lam_rule=None, x_rule=None) -> VanishingResult:
+                              lam_rule=None, x_rule=None) -> Estimate:
     """Radius of the detected gap: r_hat = sqrt(lim -log||h_n|| / n).
 
     The input is treated as data; apply it to the transform of f when
     asking whether f itself vanishes near the origin (transform-side
     statement, exposed both ways).
     """
-    seq = _heat_sequence(g, k, M, p, n_max, lam_rule, x_rule)
-    if seq.is_zero():
-        return VanishingResult(math.inf, n_max, seq, True, {"zero_input": True})
-    ns = seq.n[1:]
-    d = -seq.lognorm[1:] / ns
-    est, rms = _heat_extrapolate(ns, d)
-    r_hat = math.sqrt(max(0.0, est))
-    last = float(d[-1])
-    converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1.0) or rms < 2e-3 * max(abs(est), 1.0)
-    return VanishingResult(r_hat, n_max, seq, converged, {"limit_value": est, "fit_rms": rms})
+    seq, est, last, rms = _heat_limit(g, k, M, p, n_max, lam_rule, x_rule)
+    if est is None:
+        return _zero_input(n_max, seq, r_hat=math.inf)
+    return Estimate({"r_hat": math.sqrt(max(0.0, est))}, n_max, seq, _heat_converged(est, last, rms),
+                    {"limit_value": est, "fit_rms": rms})

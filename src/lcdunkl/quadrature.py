@@ -218,7 +218,7 @@ def _lp_norms(weights: np.ndarray, values: np.ndarray, p: float) -> np.ndarray:
     """L^p norms of the rows of values, whose last axis runs over the nodes of weights."""
     if p == math.inf:
         return np.max(np.abs(values), axis=-1) if weights.size else np.zeros(values.shape[:-1])
-    if p < 1:
+    if not p >= 1:
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
     av = np.abs(values)
     return np.sum(weights * av**p, axis=-1) ** (1.0 / p)

@@ -74,6 +74,15 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}, "grid": {"x_panels": "abc"}}, "grid"),
         ("transform", {"matrix": {"d": "x"}}, "matrix"),
         ("transform", {"function": {"type": "bump", "intervals": [[1, "a"]]}}, "function.intervals"),
+        ("estimate", {"estimator": {"p": "nan"}}, "estimator.p"),
+        ("estimate", {"estimator": {"p": 0.5}}, "estimator.p"),
+        ("transform", {"function": 5}, "function"),
+        ("estimate", {"estimator": 5}, "estimator"),
+        ("transform", {"function": {"type": "symexpr", "expr": 5}}, "function.expr"),
+        ("estimate", {"estimator": {"poly": ["a"]}}, "estimator.poly"),
+        ("estimate", {"estimator": {"poly": 5}}, "estimator.poly"),
+        ("estimate", {"estimator": {"poly": [0.5]}}, "estimator.poly"),
+        ("estimate", {"estimator": {"method": "foo"}}, "estimator.method"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
@@ -105,6 +114,40 @@ def test_estimate_poly_verdict(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["inside"] is True
     assert report["score"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_estimate_compact_bump(tmp_path):
+    out = tmp_path / "run"
+    assert main(["estimate", "--which", "compact", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["compact"] is True
+    assert report["sigma2_hat"] == pytest.approx(report["support_radius_oracle"] ** 2, rel=0.05)
+
+
+def test_estimate_vanishing_bump(tmp_path):
+    out = tmp_path / "run"
+    assert main(["estimate", "--which", "vanishing", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    # the default bump's spectrum avoids (-1, 1)
+    assert report["r_hat"] == pytest.approx(1.0, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "which,headline",
+    [
+        ("sigma", {"sigma_hat", "method", "p"}),
+        ("delta", {"delta_hat"}),
+        ("poly", {"inside", "score"}),
+        ("compact", {"compact", "sigma2_hat"}),
+        ("vanishing", {"r_hat"}),
+    ],
+)
+def test_estimate_report_keys(tmp_path, which, headline):
+    out = tmp_path / "run"
+    assert main(["estimate", "--which", which, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    common = {"n_used", "converged", "diagnostics", "which", "support_radius_oracle", "sequence_csv", "config"}
+    assert set(report) == headline | common
 
 
 def test_verify_subset_report(tmp_path):

@@ -81,6 +81,24 @@ def test_sigma_gaussian_flags_infinity():
     assert not est.converged
 
 
+@pytest.mark.parametrize("a", [-0.5, -1.0])
+@pytest.mark.parametrize("k", [0.0, 0.5, 2.0])
+def test_sigma_ratio_gaussian_flags_infinity(k, a):
+    # the ratio branch relies on the terminal-slope test here: without it
+    # these estimates come out finite below the grid limit, or negative
+    prof = gauss_profile(k)
+    for n_max in (5, 10, 30, 60):
+        est = estimate_sigma(gaussian(a), k, M_SHEAR, p=2.0, n_max=n_max, method="ratio",
+                             lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+        assert est.sigma_hat == math.inf, n_max
+
+
+def test_sigma_rejects_nan_p(pipe12):
+    prof, f, _ = pipe12
+    with pytest.raises(ParameterError, match="p must satisfy"):
+        estimate_sigma(f, K, M_SHEAR, p=float("nan"), lam_rule=prof.lam_rule)
+
+
 def test_sigma_scaling_covariance(pipe12):
     # replacing b by 2b (c by c/2) halves sigma
     prof1, f1, spec1 = pipe12
@@ -222,3 +240,24 @@ def test_one_contraction_per_norm_sequence(pipe12, monkeypatch):
     calls.clear()
     estimate_sigma(f, K, M_SHEAR, p=math.inf, n_max=30, method="root", lam_rule=prof.lam_rule)
     assert calls == [(len(prof.x_rule),), (len(prof.lam_rule), 31)]
+
+
+def test_headline_values_read_as_attributes(pipe12):
+    prof, _, spec = pipe12
+    P = RealPolynomial((0.0, 0.0, 0.25))
+    cases = [
+        ({"sigma_hat", "method", "p"}, estimate_sigma(spec, K, M_SHEAR)),
+        ({"inside", "score"}, poly_domain_test(spec, K, M_SHEAR, P)),
+        ({"compact", "sigma2_hat"}, compact_spectrum_test(spec, K, M_SHEAR)),
+        ({"delta_hat"}, estimate_delta(spec, K, M_SHEAR)),
+        ({"r_hat"}, vanishing_interval_detect(spec, K, M_SHEAR)),
+    ]
+    for headline, est in cases:
+        report = est.to_report()
+        assert set(report) == headline | {"n_used", "converged", "diagnostics"}
+        for key in headline:
+            assert getattr(est, key) == report[key]
+        assert (report["n_used"], report["converged"], report["diagnostics"]) == (
+            est.n_used, est.converged, est.diagnostics)
+        with pytest.raises(AttributeError):
+            est.no_such_value

@@ -17,11 +17,10 @@ from lcdunkl.specfun import (
     principal_power,
 )
 
-mp.mp.dps = 40
-
 K_SWEEP = [-0.5, 0.0, 0.5, 2.0]
 
 
+@mp.workdps(40)
 def jk_oracle(nu, x):
     # direct high-precision summation of the defining series; the order
     # stays an exact mpf so no float64 rounding leaks into the recurrence
@@ -98,6 +97,7 @@ def test_bessel_regime_overlap_band(nu):
         assert np.max(np.abs(vals - refs)) <= 1e-12
 
 
+@mp.workdps(40)
 def besselj_ref(nu, x):
     # Gamma(nu+1) (2/x)^nu J_nu(x) from mpmath's J_nu, which reaches the
     # large |x| the series oracle cannot
