@@ -2,7 +2,9 @@
 
 One flat JSON config per run; every default is filled in and echoed
 into the output metadata so any reported number can be reproduced.
-Data files carry no timestamps and are written atomically.
+Every field is checked (type from DEFAULT_CONFIG, range from LIMITS or
+CHOICES) before any compute. Data files carry no timestamps and are
+written atomically.
 """
 
 import argparse
@@ -12,15 +14,17 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import paleywiener
 from . import verify as verify_mod
 from .corpus import bump_profile, gauss_profile, realize_bump
 from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismatchError
 from .operators import MAX_N_SPECTRAL, RealPolynomial
-from .paleywiener import support_radius_oracle
-from .specfun import CanonicalMatrix, DunklParameter
+from .paleywiener import MIN_N_FIT, support_radius_oracle
+from .specfun import U_MAX, CanonicalMatrix
 from .symfun import expr_from_json
-from .transform import lcdt_forward
+from .transform import TABLE_BUDGET, lcdt_forward
 
 DEFAULT_CONFIG = {
     "k": 0.5,
@@ -37,6 +41,21 @@ DEFAULT_CONFIG = {
     "estimator": {"p": 2.0, "n_max": 30, "method": "ratio", "poly": [0.0, 0.0, 0.25]},
 }
 
+# closed ranges of the numeric fields; a number field without one need only be finite
+LIMITS = {
+    "k": (-0.5, 150.0),  # past k ~ 150.017 the measure's 2^(k+1) Gamma(k+1) overflows a double
+    "grid.x_radius": (1e-3, U_MAX),
+    "grid.lambda_radius": (1e-3, U_MAX),
+    "grid.x_panels": (2, 4096),
+    "grid.lambda_panels": (2, 4096),
+    "grid.x_nodes": (2, 64),  # leggauss solves an n x n eigenproblem
+    "grid.lambda_nodes": (2, 64),
+    "estimator.p": (1.0, math.inf),  # p = inf is written "inf"
+    "estimator.n_max": (MIN_N_FIT, MAX_N_SPECTRAL),
+}
+CHOICES = {"function.type": ("bump", "symexpr"), "estimator.method": paleywiener.METHODS}
+NO_DEFAULT = ("function.expr",)  # known fields that only their constructor checks
+
 # `estimate --which` choice -> estimator name in paleywiener
 ESTIMATORS = {"sigma": "estimate_sigma", "delta": "estimate_delta", "poly": "poly_domain_test",
               "compact": "compact_spectrum_test", "vanishing": "vanishing_interval_detect"}
@@ -49,91 +68,95 @@ class ConfigError(Exception):
         super().__init__(f"{field}: {message}")
 
 
-def _merge_defaults(cfg):
-    out = json.loads(json.dumps(DEFAULT_CONFIG))
-    for key, val in (cfg or {}).items():
-        if isinstance(out.get(key), dict):
-            if not isinstance(val, dict):
-                raise ConfigError(key, f"must be a JSON object, got {val!r}")
-            out[key].update(val)
-        else:
-            out[key] = val
-    return out
+def _checked(path, default, value):
+    """value of the field at path, checked against its default, LIMITS and CHOICES, in the default's type."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(path or "config", f"must be a JSON object, got {value!r}")
+        out = {}
+        for key, val in {**default, **value}.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in default and sub not in NO_DEFAULT:
+                raise ConfigError(sub, "unknown field")
+            out[key] = _checked(sub, default[key], val) if key in default else val
+        return out
+    if isinstance(default, (bool, str, list)):
+        if value not in CHOICES[path] if isinstance(default, str) else type(value) is not type(default):
+            want = f"one of {list(CHOICES[path])}" if isinstance(default, str) else f"a JSON {type(default).__name__}"
+            raise ConfigError(path, f"must be {want}, got {value!r}")
+        return value
+    lo, hi = LIMITS.get(path, (-sys.float_info.max, sys.float_info.max))
+    if value == "inf" and hi == math.inf:
+        return math.inf
+    whole = isinstance(default, int)
+    number = float(value) if type(value) in (int, float) and abs(value) <= sys.float_info.max else math.nan
+    if not (lo <= number <= hi and (number.is_integer() or not whole)):
+        span = f" in [{lo:g}, {hi:g}]" + (' or "inf"' if hi == math.inf else "") if path in LIMITS else ""
+        raise ConfigError(path, f"must be {'an integer' if whole else 'a finite number'}{span}, got {value!r}")
+    return int(number) if whole else number
 
 
 def _load_config(path):
-    if path is None:
-        return _merge_defaults({})
+    """(the config as given, defaults filled in; the checked config)."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError("config", f"cannot read config: {exc}")
+    cfg = _checked("", DEFAULT_CONFIG, raw)
+    given = {key: {**val, **raw.get(key, {})} if isinstance(val, dict) else raw.get(key, val)
+             for key, val in DEFAULT_CONFIG.items()}
+    return given, cfg
+
+
+def _built(field, make, *args, **kwargs):
+    """make(*args, **kwargs); a refusal is reported under field, or under the subfield it names."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("config", f"cannot read config: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return _merge_defaults(raw)
+        return make(*args, **kwargs)
+    except (ArithmeticError, AttributeError, LookupError, RecursionError, ResourceBudgetError,
+            TypeError, ValueError) as exc:
+        named = str(exc).split(":")[0]
+        raise ConfigError(named if named.startswith(field + ".") else field,
+                          str(exc) if isinstance(exc, ValueError) else repr(exc)) from None
+
+
+def _intervals(pairs, symmetrize):
+    """[[lo, hi], ...] as pairs of finite numbers with lo < hi, with their mirror images if symmetrize."""
+    out = tuple((_checked("function.intervals", 0.0, lo), _checked("function.intervals", 0.0, hi)) for lo, hi in pairs)
+    if not out or not all(lo < hi for lo, hi in out):
+        raise ParameterError("need nonempty [lo, hi] pairs with lo < hi")
+    return tuple((-hi, -lo) for lo, hi in out) + out if symmetrize else out
+
+
+def _check_rules(prof, M, field):
+    """Refuse rule pairs whose kernel argument passes U_MAX or whose folded tables pass TABLE_BUDGET."""
+    x, lam = np.abs(prof.x_rule.nodes), np.abs(prof.lam_rule.nodes)
+    u = float(x.max() * lam.max()) / abs(M.b)
+    if u > U_MAX:
+        raise ConfigError(field, f"kernel argument max|x| max|lambda| / |b| = {u:.6g} beyond {U_MAX:g}")
+    size = 16 * np.unique(x).size * np.unique(lam).size
+    if size > TABLE_BUDGET:
+        raise ConfigError(field, f"folded kernel tables need {size} bytes, beyond {TABLE_BUDGET}")
 
 
 def _build_context(cfg):
-    try:
-        k = float(cfg["k"])
-    except (TypeError, ValueError):
-        raise ConfigError("k", "must be a real number")
-    try:
-        k = DunklParameter(k).k
-        finite = math.isfinite(2.0 ** (k + 1.0) * math.gamma(k + 1.0))  # Dunkl measure normalization
-    except ParameterError as exc:
-        raise ConfigError("k", str(exc))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ConfigError("k", f"2^(k+1) Gamma(k+1) of the Dunkl measure overflows at k = {k!r}")
-    m = cfg["matrix"]
-    try:
-        M = CanonicalMatrix(m["a"], m["b"], m["c"], m["d"])
-    except ParameterError as exc:
-        raise ConfigError(f"matrix.{'b' if 'matrix.b' in str(exc) else 'det'}", str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("matrix", f"needs numeric entries a, b, c, d: {exc}")
-    fn = cfg["function"]
-    kind = fn.get("type")
-    if kind == "bump":
-        try:
-            intervals = tuple((float(lo), float(hi)) for lo, hi in fn.get("intervals") or ())
-        except (TypeError, ValueError):
-            intervals = ()
-        if not intervals or not all(lo < hi for lo, hi in intervals):
-            raise ConfigError("function.intervals", "need nonempty [lo, hi] pairs of numbers with lo < hi")
-        if fn.get("symmetrize"):
-            intervals = tuple((-hi, -lo) for lo, hi in intervals) + intervals
-        try:
-            prof = bump_profile(k, intervals, b=M.b)
-        except ParameterError as exc:
-            raise ConfigError("function.intervals", str(exc))
-        return k, M, prof, ("bump", intervals)
-    if kind == "symexpr":
-        try:
-            expr = expr_from_json(fn["expr"])
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError, ParameterError) as exc:
-            raise ConfigError("function.expr", f"invalid expression: {exc}")
-        g = cfg["grid"]
-        try:
-            sizes = dict(
-                X=float(g["x_radius"]),
-                x_panels=int(g["x_panels"]),
-                x_nodes=int(g["x_nodes"]),
-                L=float(g["lambda_radius"]),
-                l_panels=int(g["lambda_panels"]),
-                l_nodes=int(g["lambda_nodes"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError("grid", f"needs numeric radii and integer panel and node counts: {exc}")
-        try:
-            prof = gauss_profile(k, **sizes)
-        except ParameterError as exc:
-            raise ConfigError("grid", str(exc))
-        return k, M, prof, ("symexpr", expr)
-    raise ConfigError("function.type", f"must be 'bump' or 'symexpr', got {kind!r}")
+    """k, matrix, polynomial, grid profile and (kind, intervals or expression) of a checked config."""
+    k, fn, g = cfg["k"], cfg["function"], cfg["grid"]
+    M = _built("matrix", CanonicalMatrix, **cfg["matrix"])
+    P = _built("estimator.poly", lambda c: RealPolynomial(tuple(c)).require_nonconstant(), cfg["estimator"]["poly"])
+    expr = _built("function.expr", expr_from_json, fn.get("expr")) if fn["type"] == "symexpr" or "expr" in fn else None
+    if fn["type"] == "bump":
+        field = "function.intervals"
+        data = _built(field, _intervals, fn["intervals"], fn["symmetrize"])
+        prof = _built(field, bump_profile, k, data, b=M.b)
+    else:
+        field, data = "grid", expr
+        prof = _built(field, gauss_profile, k, g["x_radius"], g["x_panels"], g["x_nodes"],
+                      g["lambda_radius"], g["lambda_panels"], g["lambda_nodes"])
+    _check_rules(prof, M, field)
+    return k, M, P, prof, (fn["type"], data)
 
 
 def _atomic_write(path, text):
@@ -153,8 +176,8 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def cmd_transform(cfg, out_dir):
-    k, M, prof, (kind, data) = _build_context(cfg)
+def cmd_transform(cfg, given, out_dir):
+    k, M, _, prof, (kind, data) = _build_context(cfg)
     if kind == "bump":
         f, spec = realize_bump(k, M, data, prof)
         g = lcdt_forward(f, k, M, prof.lam_rule)
@@ -163,42 +186,14 @@ def cmd_transform(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "spectrum.csv"), g.to_csv_text())
     payload = json.loads(g.to_json_text())
-    payload["config"] = cfg
+    payload["config"] = given
     _atomic_write(os.path.join(out_dir, "spectrum.json"), _json_text(payload))
     return 0
 
 
-def _estimator_number(est_cfg, name, convert, kind):
-    try:
-        return convert(est_cfg[name])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"estimator.{name}", f"must be {kind}, got {est_cfg[name]!r}")
-
-
-def _estimator_poly(est_cfg):
-    try:
-        P = RealPolynomial(tuple(est_cfg["poly"]))
-    except (TypeError, ValueError, ParameterError):
-        P = None
-    if P is None or P.degree < 1 or not all(map(math.isfinite, P.coefficients)):
-        raise ConfigError("estimator.poly", f"must list finite ascending coefficients of a "
-                                            f"non-constant polynomial, got {est_cfg['poly']!r}")
-    return P
-
-
-def cmd_estimate(cfg, which, out_dir):
-    est_cfg = cfg["estimator"]
-    p = _estimator_number(est_cfg, "p", float, "a number >= 1 or 'inf'")
-    if not p >= 1:
-        raise ConfigError("estimator.p", f"must be a number >= 1 or 'inf', got {est_cfg['p']!r}")
-    n_max = _estimator_number(est_cfg, "n_max", int, "a finite integer")
-    if not 1 <= n_max <= MAX_N_SPECTRAL:
-        raise ConfigError("estimator.n_max", f"must lie in [1, {MAX_N_SPECTRAL}], got {n_max}")
-    method = est_cfg["method"]
-    if method not in paleywiener.METHODS:
-        raise ConfigError("estimator.method", f"must be one of {list(paleywiener.METHODS)}, got {method!r}")
-    P = _estimator_poly(est_cfg)
-    k, M, prof, (kind, data) = _build_context(cfg)
+def cmd_estimate(cfg, given, which, out_dir):
+    k, M, P, prof, (kind, data) = _build_context(cfg)
+    est = cfg["estimator"]
     f, oracle = data, None
     if kind == "bump":
         physical, spec = realize_bump(k, M, data, prof)
@@ -206,9 +201,9 @@ def cmd_estimate(cfg, which, out_dir):
         oracle = support_radius_oracle(spec, 1e-10)
 
     args = (f, k, M, P) if which == "poly" else (f, k, M)
-    kwargs = {"p": p, "n_max": max(n_max, 40), "lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    kwargs = {"p": est["p"], "n_max": max(est["n_max"], 40), "lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
     if which == "sigma":
-        kwargs.update(n_max=n_max, method=method)
+        kwargs.update(n_max=est["n_max"], method=est["method"])
     # looked up at call time, so a rebound module attribute (a tracing wrapper) is honoured
     res = getattr(paleywiener, ESTIMATORS[which])(*args, **kwargs)
     os.makedirs(out_dir, exist_ok=True)
@@ -217,7 +212,7 @@ def cmd_estimate(cfg, which, out_dir):
     if oracle is not None:
         report["support_radius_oracle"] = oracle
     report["sequence_csv"] = "sequence.csv"
-    report["config"] = cfg
+    report["config"] = given
     # infinities are not valid JSON; report them as strings
     for key, val in list(report.items()):
         if isinstance(val, float) and math.isinf(val):
@@ -252,7 +247,6 @@ def main(argv=None) -> int:
     p_es.add_argument("--which", default="sigma", choices=list(ESTIMATORS))
 
     p_ve = sub.add_parser("verify", help="run the built-in verification suites")
-    p_ve.add_argument("--config", default=None)
     p_ve.add_argument("--out", default="out")
     p_ve.add_argument("--suite", default="all",
                       choices=["all", "specfun", "transform", "operators", "sobolev", "pw"])
@@ -261,10 +255,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.out)
-        cfg = _load_config(args.config)
+        given, cfg = _load_config(args.config)
         if args.command == "transform":
-            return cmd_transform(cfg, args.out)
-        return cmd_estimate(cfg, args.which, args.out)
+            return cmd_transform(cfg, given, args.out)
+        return cmd_estimate(cfg, given, args.which, args.out)
     except ConfigError as exc:
         print(json.dumps({"error": {"field": exc.field, "message": exc.message}}, sort_keys=True))
         return 2

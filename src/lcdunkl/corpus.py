@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RangeError
 from .quadrature import QuadratureRule, build_rule, build_rule_from_edges
-from .specfun import CanonicalMatrix, kval, matval
+from .specfun import U_MAX, CanonicalMatrix, kval, matval
 from .symfun import PolySum, gaussian
 from .transform import Spectrum, lcdt_inverse
 
@@ -90,6 +91,9 @@ def bump_profile(k, intervals, b=1.0, X=320.0, x_nodes=12, l_nodes=12) -> GridPr
     # the edge enters n-th operator norms like (extent/maxedge)^n, so a
     # wide margin would poison long norm sequences
     extent = 1.2 * maxedge
+    # checked before the panels are laid out: their count grows like extent / |b|
+    if not X * extent <= U_MAX * abs(b):
+        raise RangeError(f"kernel argument X * 1.2 max|edge| / |b| = {X * extent / abs(b):.6g} beyond {U_MAX:g}")
     # frequency rule: resolve e^{i lam x / b} at |x| <= X inside the support
     per_unit = max(8.0, 0.75 * X / abs(b) / 12.0)
     lam_rule = build_rule_from_edges(kk, _bump_lambda_edges(intervals, extent, per_unit), l_nodes)

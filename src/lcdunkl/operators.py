@@ -50,23 +50,24 @@ class RealPolynomial:
         coeffs = tuple(float(c) for c in self.coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
-        if not coeffs:
-            raise ParameterError("polynomial needs at least one coefficient")
+        if not coeffs or not all(map(math.isfinite, coeffs)):
+            raise ParameterError("polynomial needs at least one coefficient, all finite")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def require_nonconstant(self):
+    def require_nonconstant(self) -> "RealPolynomial":
         if self.degree < 1:
             raise ParameterError("polynomial domain requires a non-constant polynomial")
+        return self
 
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(t, self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormSequence:
     """(n, log norm, norm^(1/n), norm_n / norm_(n-1)) diagnostics."""
 
@@ -194,6 +195,8 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
     """log ||inverse(mult^n g)||_p for n = 0..n_max; p = 2 stays spectral (Parseval)."""
     if not 1 <= n_max <= MAX_N_SPECTRAL:
         raise ParameterError(f"n_max must lie in [1, {MAX_N_SPECTRAL}], got {n_max!r}")
+    if not p >= 1:
+        raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
     ns = np.arange(n_max + 1)
     if p == 2.0:
         L = 2.0 * _log_powers(log_mult, ns) + (2.0 * _log_abs(g.values) + np.log(g.rule.weights))

@@ -62,9 +62,13 @@ DIVERGENCE_SLOPE = 0.15
 # terminal slope sits higher while still converging
 DIVERGENCE_SLOPE_SQUARED = 0.6
 EDGE_FRACTION = 0.9
+# fewest n_max for which every fit below has as many points as columns
+MIN_N_FIT = 4
 
 
 def _ls_fit(ns, vals, cols):
+    if len(vals) < len(cols):
+        raise ParameterError(f"{len(vals)} points cannot fit {len(cols)} columns; n_max must be >= {MIN_N_FIT}")
     A = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     resid = vals - A @ coef
@@ -116,7 +120,7 @@ def _grid_limit(g: Spectrum) -> float:
     return float(np.max(np.abs(g.rule.nodes)) / abs(g.M.b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """One estimator's answer: headline values, the norm sequence behind them, diagnostics.
 

@@ -83,9 +83,6 @@ class QuadratureRule:
     def __len__(self):
         return self.nodes.shape[0]
 
-    def key(self) -> bytes:
-        return self.nodes.tobytes() + np.float64(self.k).tobytes()
-
 
 def _dunkl_density(k: float, x: np.ndarray) -> np.ndarray:
     norm = 2.0 ** (k + 1.0) * math.gamma(k + 1.0)

@@ -508,6 +508,8 @@ def expr_to_json(e: SymExpr) -> dict:
 def expr_from_json(payload) -> SymExpr:
     if isinstance(payload, str):
         payload = json.loads(payload)
+    if not isinstance(payload, dict):
+        raise ParameterError(f"expression node must be a JSON object, got {payload!r}")
     kind = payload.get("type")
     if kind == "sum_of_terms":
         terms = []

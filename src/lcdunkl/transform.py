@@ -56,10 +56,6 @@ class Spectrum:
             raise ParameterError("spectrum values must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def lambda_grid(self) -> np.ndarray:
-        return self.rule.nodes
-
     def as_sampled(self) -> SampledFunction:
         return SampledFunction(self.rule, self.values, label=self.label)
 

@@ -71,8 +71,8 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         ("estimate", {"estimator": {"n_max": 0}}, "estimator.n_max"),
         ("estimate", {"estimator": {"n_max": -1}}, "estimator.n_max"),
         ("estimate", {"estimator": {"n_max": 61}}, "estimator.n_max"),
-        ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}, "grid": {"x_panels": "abc"}}, "grid"),
-        ("transform", {"matrix": {"d": "x"}}, "matrix"),
+        ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}, "grid": {"x_panels": "abc"}}, "grid.x_panels"),
+        ("transform", {"matrix": {"d": "x"}}, "matrix.d"),
         ("transform", {"function": {"type": "bump", "intervals": [[1, "a"]]}}, "function.intervals"),
         ("estimate", {"estimator": {"p": "nan"}}, "estimator.p"),
         ("estimate", {"estimator": {"p": 0.5}}, "estimator.p"),
@@ -83,6 +83,22 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         ("estimate", {"estimator": {"poly": 5}}, "estimator.poly"),
         ("estimate", {"estimator": {"poly": [0.5]}}, "estimator.poly"),
         ("estimate", {"estimator": {"method": "foo"}}, "estimator.method"),
+        ("transform", {"function": {"symmetrize": "false"}}, "function.symmetrize"),
+        ("transform", {"kk": 0.5}, "kk"),
+        ("estimate", {"estimator": {"nmax": 30}}, "estimator.nmax"),
+        ("estimate", {"estimator": {"n_max": 30.7}}, "estimator.n_max"),
+        ("estimate", {"estimator": {"n_max": True}}, "estimator.n_max"),
+        ("transform", {"matrix": {"a": True}}, "matrix.a"),
+        ("transform", {"function": {"type": "bump", "intervals": [[1, 1e400]]}}, "function.intervals"),
+        ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}, "grid": {"x_panels": 40.9}},
+         "grid.x_panels"),
+        ("transform", {"grid": {"x_nodes": 100000}}, "grid.x_nodes"),
+        ("transform", {"matrix": {"a": 1.0, "b": 0.5, "c": 0.0, "d": 1.0},
+                       "function": {"type": "bump", "intervals": [[2, 3]]}}, "function.intervals"),
+        # folded tables of 2^17 x 2^17 nodes: refused before any Bessel table is built
+        ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR},
+                       "grid": {"x_panels": 4096, "x_nodes": 64, "lambda_panels": 4096, "lambda_nodes": 64}},
+         "grid"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
@@ -90,6 +106,43 @@ def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
     assert code == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["field"] == field
+
+
+LEAVES = ["k", "matrix.a", "matrix.b", "matrix.c", "matrix.d", "grid.x_radius", "grid.x_panels",
+          "grid.x_nodes", "grid.lambda_radius", "grid.lambda_panels", "grid.lambda_nodes", "function.type",
+          "function.intervals", "function.symmetrize", "function.expr", "estimator.p", "estimator.n_max",
+          "estimator.method", "estimator.poly"]
+BAD_VALUES = [None, "x", True, [], {}, float("inf"), -1e9]
+VALID = [("matrix.b", -1e9), ("function.symmetrize", True)]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_bad_value_sweep_names_the_leaf(tmp_path, capsys, leaf):
+    allowed = {leaf, "matrix.det", "matrix.b"} if leaf.startswith("matrix.") else {leaf}
+    for value in BAD_VALUES:
+        if (leaf, value) in VALID:
+            continue
+        symexpr = leaf.startswith("grid.") or leaf == "function.expr"
+        cfg = {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR}} if symexpr else {}
+        section, _, name = leaf.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
+        code = main(["transform", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x")])
+        out = capsys.readouterr().out
+        assert code == 2, (leaf, value, out)
+        assert json.loads(out)["error"]["field"] in allowed, (leaf, value, out)
+
+
+def test_infinite_p_report_is_strict_json(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, {"estimator": {"p": "inf"}})
+    assert main(["estimate", "--which", "sigma", "--config", cfg, "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["p"] == "inf"
+    assert report["config"]["estimator"]["p"] == "inf"
 
 
 def test_estimate_sigma_bump(tmp_path):

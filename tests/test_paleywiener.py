@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -261,3 +262,34 @@ def test_headline_values_read_as_attributes(pipe12):
             est.n_used, est.converged, est.diagnostics)
         with pytest.raises(AttributeError):
             est.no_such_value
+
+
+def test_p_checked_before_the_contraction(pipe12, monkeypatch):
+    prof, _, spec = pipe12
+
+    def refuse(*args):
+        raise AssertionError("contraction ran before p was checked")
+
+    monkeypatch.setattr(transform, "_core_apply", refuse)
+    for p in (0.5, math.nan):
+        with pytest.raises(ParameterError, match="p must"):
+            compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=40, x_rule=prof.x_rule)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_sigma_refuses_underdetermined_fits(n_max):
+    prof = gauss_profile(K)
+    for method in ("root", "ratio"):
+        with pytest.raises(ParameterError, match="n_max must be >= 4"):
+            estimate_sigma(gaussian(-0.5), K, M_SHEAR, n_max=n_max, method=method,
+                           lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+
+
+def test_estimates_compare_by_identity(pipe12):
+    _, _, spec = pipe12
+    est = compact_spectrum_test(spec, K, M_SHEAR)
+    twin = pickle.loads(pickle.dumps(est))
+    assert (est == est) is True
+    assert (est == twin) is False
+    assert (est.sequence == twin.sequence) is False
+    assert np.array_equal(est.sequence.lognorm, twin.sequence.lognorm)
