@@ -5,6 +5,12 @@ over arrays. A Kahan-summed power series covers |u| <= 7.5 or
 u^2 <= 16(nu+1), where its terms stay moderate; beyond, the classical
 J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
 1986), through spherical_jn at half-integer orders. j_{-1/2} is cos.
+
+The transform's kernel tables come from ``_bessel_j_tables``: at orders
+that go through jv, it runs ``bessel_j_grid`` only at Chebyshev points on
+panels of width at most 1/2 and sums each panel's series over the table.
+Half-integer orders, cos and small tables stay on ``bessel_j_grid``, as do
+``bessel_j_norm`` and ``dunkl_kernel_dx``.
 """
 
 import cmath
@@ -151,6 +157,58 @@ def bessel_j_grid(nu: float, u) -> np.ndarray:
         if not np.all(np.isfinite(vals)):
             raise RangeError(f"order nu = {nu} too large for |x| = {umax}: j_nu leaves double range")
         out[rest] = vals
+    return out
+
+
+# Piecewise Chebyshev interpolation of the kernel tables. Every derivative
+# of j_nu is bounded by 1 for nu >= -1/2 (Poisson integral), so m points of
+# the first kind on panels of width h <= PANEL_WIDTH interpolate j_nu within
+# (h/2)^m / (2^(m-1) m!) ~ 5e-16 (Trefethen, "Approximation Theory and
+# Approximation Practice", SIAM 2013, ch. 7-8).
+PANEL_WIDTH = 0.5
+PANEL_NODES = 10
+_CHUNK = 1 << 14
+_THETA = math.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
+# node values -> Chebyshev coefficients (a DCT-II), the constant term halved
+_TO_COEFFS = np.cos(np.outer(np.arange(PANEL_NODES), _THETA)) * (2.0 / PANEL_NODES)
+_TO_COEFFS[0] *= 0.5
+
+
+def _bessel_j_tables(orders, u) -> list:
+    """[j_nu(u) for nu in orders], interpolated at the orders that go through jv.
+
+    Where jv (AMOS) would run and u holds more points than the panel nodes,
+    bessel_j_grid runs only at PANEL_NODES Chebyshev points on each of
+    ceil(max|u| / PANEL_WIDTH) equal panels over [0, max|u|], and a
+    Clenshaw sum of each panel's series fills the table in chunks of
+    _CHUNK points. Half-integer orders (spherical_jn is cheaper than the
+    sum), nu = -1/2 (cos) and small tables get bessel_j_grid itself.
+    """
+    orders = [float(nu) for nu in orders]
+    u = np.asarray(u, dtype=np.float64)
+    umax = float(np.max(np.abs(u))) if u.size else 0.0
+    # zero, non-finite or out-of-range arguments go to bessel_j_grid, which rejects the latter
+    n = math.ceil(umax / PANEL_WIDTH) if 0.0 < umax <= U_MAX else 0
+    fit = [i for i, nu in enumerate(orders) if nu != -0.5 and not (nu - 0.5).is_integer()]
+    if not fit or n == 0 or u.size <= n * PANEL_NODES:
+        return [bessel_j_grid(nu, u) for nu in orders]
+    out = [np.empty(u.shape) if i in fit else bessel_j_grid(nu, u) for i, nu in enumerate(orders)]
+    nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (umax / n)
+    # (degree, panel) coefficient rows, so each degree is one 1-D gather
+    coeffs = {i: _TO_COEFFS @ bessel_j_grid(orders[i], nodes).T for i in fit}
+    flat = u.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK):
+        y = np.abs(flat[lo:lo + _CHUNK])
+        y *= n / umax
+        panel = np.minimum(y.astype(np.intp), n - 1)
+        s = 2.0 * (y - panel) - 1.0
+        s2 = 2.0 * s
+        for i in fit:
+            c = coeffs[i]
+            b1, b2 = c[-1].take(panel), 0.0
+            for d in range(PANEL_NODES - 2, 0, -1):
+                b1, b2 = s2 * b1 - b2 + c[d].take(panel), b1
+            out[i].reshape(-1)[lo:lo + _CHUNK] = s * b1 - b2 + c[0].take(panel)
     return out
 
 

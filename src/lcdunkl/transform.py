@@ -6,7 +6,9 @@ E_k(-i mu, x) = j_k(mu x) - i mu x j_{k+1}(mu x) / (2(k+1)) is a part
 even in mu x plus a part odd in it, so both parts are tabulated on the
 folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
 factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
-rules that quarters the table. One cached pair serves both directions
+rules that quarters the table. Where j_k and j_{k+1} would come from jv,
+the tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
+under the same accuracy contract. One cached pair serves both directions
 of a grid pair (the other one reads the transposed view), and the cache
 holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.
 """
@@ -21,7 +23,7 @@ from scipy.special import gammaincc
 
 from .errors import AccuracyWarning, ParameterError
 from .quadrature import QuadratureRule, SampledFunction
-from .specfun import CanonicalMatrix, bessel_j_grid, kval, matval, principal_power
+from .specfun import CanonicalMatrix, _bessel_j_tables, kval, matval, principal_power
 from .symfun import NodeProd, NodeSum, PolySum, QuotPow, SymExpr, evaluate, gaussian
 
 __all__ = [
@@ -124,7 +126,10 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     got = _tables.get(key)
     if got is None:
         t = np.multiply.outer(*((xa, fa) if swap else (fa, xa))) / absb
-        got = (bessel_j_grid(k, t), bessel_j_grid(k + 1.0, t) * t * (0.5 / (k + 1.0)))
+        even, odd = _bessel_j_tables((k, k + 1.0), t)
+        odd *= t
+        odd *= 0.5 / (k + 1.0)
+        got = (even, odd)
         size = sum(a.nbytes for a in got)
         if size <= TABLE_BUDGET:
             held = sum(a.nbytes for pair in _tables.values() for a in pair)

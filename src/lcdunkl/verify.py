@@ -25,6 +25,7 @@ from .quadrature import SampledFunction, build_rule, inner_product, lp_norm
 from .sobolev import derivative_via_spectrum, seminorm_S, seminorm_op, sobolev_norm
 from .specfun import (
     CanonicalMatrix,
+    _bessel_j_tables,
     bessel_j_grid,
     bessel_j_norm,
     dunkl_kernel,
@@ -89,6 +90,16 @@ def checks_specfun():
         for nu in (0.0, 0.7, 2.0, 3.0)
     )
     out.append(_check("bessel_parity", "specfun", worst, 1e-12))
+
+    # the transform's kernel tables interpolate j_k and j_{k+1} where jv runs
+    worst = 0.0
+    for k in (0.0, 2.0):
+        prof = _gauss(k)
+        t = np.multiply.outer(np.unique(np.abs(prof.lam_rule.nodes)), np.unique(np.abs(prof.x_rule.nodes)))
+        for nu, vals in zip((k, k + 1.0), _bessel_j_tables((k, k + 1.0), t)):
+            want = bessel_j_grid(nu, t)
+            worst = max(worst, float(np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want)))))
+    out.append(_check("bessel_table_interpolation", "specfun", worst, 1e-12))
 
     lam = rng.uniform(-8, 8, 300)
     x = rng.uniform(-8, 8, 300)

@@ -5,8 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lcdunkl import specfun
+from lcdunkl.corpus import bump_profile
 from lcdunkl.errors import ParameterError, RangeError
 from lcdunkl.specfun import (
+    U_MAX,
     CanonicalMatrix,
     DunklParameter,
     bessel_j_grid,
@@ -132,6 +135,57 @@ def test_bessel_range_guard():
     # overflows where J_nu underflows: an error, never a NaN
     with pytest.raises(RangeError):
         bessel_j_grid(600.0, np.linspace(0.0, 2000.0, 41))
+
+
+# the kernel tables: piecewise Chebyshev interpolants of j_nu where jv runs
+
+def interpolation_grid():
+    # more points than panel nodes (4000 panels x 10 on [0, 2000]), off the nodes
+    rng = np.random.default_rng(5)
+    return np.concatenate([np.linspace(0.0, 2000.0, 40001), rng.uniform(0.0, 2000.0, 20000)])
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 1.0, 1.6, 2.1, 2.6, 3.1, 6.0, 150.3])
+def test_interpolated_table_against_mpmath(nu):
+    t = interpolation_grid()
+    (vals,) = specfun._bessel_j_tables((nu,), t)
+    rng = np.random.default_rng(int(10 * nu) + 3)
+    picks = np.concatenate([rng.choice(t.size, 60, replace=False), [0, 1, 40000, t.size - 1]])
+    for i in picks:
+        ref = besselj_ref(nu, t[i])
+        assert abs(vals[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_interpolated_bump_fold_matches_direct():
+    # the folded |lambda| x |x| table of a 3120 x 528 bump grid at k = 1.8
+    k = 1.8
+    prof = bump_profile(k, ((1.0, 2.0),))
+    assert (len(prof.x_rule), len(prof.lam_rule)) == (3120, 528)
+    t = np.multiply.outer(np.unique(np.abs(prof.lam_rule.nodes)), np.unique(np.abs(prof.x_rule.nodes)))
+    for nu, vals in zip((k, k + 1.0), specfun._bessel_j_tables((k, k + 1.0), t)):
+        want = bessel_j_grid(nu, t)
+        assert vals.shape == t.shape
+        assert np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_interpolated_table_edges():
+    # max t exactly U_MAX: no node passes it, no RangeError
+    t = np.linspace(0.0, U_MAX, 50001)
+    (vals,) = specfun._bessel_j_tables((1.6,), t)
+    assert np.max(np.abs(vals - bessel_j_grid(1.6, t))) <= 1e-12
+    # past U_MAX, or at an order where j_nu leaves double range: the direct errors
+    with pytest.raises(RangeError):
+        specfun._bessel_j_tables((1.6,), np.append(t, U_MAX * (1.0 + 1e-12)))
+    with pytest.raises(RangeError):
+        specfun._bessel_j_tables((600.0, 601.0), t)
+    # fewer points than panel nodes, half-integer orders and cos: bessel_j_grid itself
+    small = np.linspace(0.0, 100.0, 2000)
+    assert small.size <= math.ceil(100.0 / specfun.PANEL_WIDTH) * specfun.PANEL_NODES
+    for nu, vals in zip((0.3, 1.3), specfun._bessel_j_tables((0.3, 1.3), small)):
+        assert np.array_equal(vals, bessel_j_grid(nu, small))
+    orders = (-0.5, 0.5, 1.5, 2.5, 150.5)
+    for nu, vals in zip(orders, specfun._bessel_j_tables(orders, t)):
+        assert np.array_equal(vals, bessel_j_grid(nu, t))
 
 
 def test_dunkl_kernel_trivial_lam_zero():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lcdunkl import transform
+from lcdunkl import specfun, transform
 from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
 from lcdunkl.errors import ParameterError
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
@@ -298,3 +298,27 @@ def test_bump_round_trip_at_large_order():
     inside = (lam > 1.0) & (lam < 2.0)
     peak = np.max(np.abs(spec.values))
     assert np.max(np.abs(back.values - spec.values)[inside]) <= 1e-5 * peak
+
+
+def test_table_build_evaluates_only_panel_nodes(monkeypatch):
+    # a cold table pair of the k = 1.8 bump grid runs the exact evaluator
+    # at the interpolation nodes only, not at its 411,840 entries per order
+    k = 1.8
+    prof = bump_profile(k, ((1.0, 2.0),))
+    fa = np.unique(np.abs(prof.lam_rule.nodes))
+    xa = np.unique(np.abs(prof.x_rule.nodes))
+    assert fa.size * xa.size == 411840
+    calls = []
+    bessel_j_grid = specfun.bessel_j_grid
+
+    def counted(nu, u):
+        calls.append((nu, np.size(u)))
+        return bessel_j_grid(nu, u)
+
+    monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+    monkeypatch.setattr(transform, "_tables", {})
+    transform._bessel_tables(k, fa, xa, 1.0)
+    panels = math.ceil(fa[-1] * xa[-1] / specfun.PANEL_WIDTH)
+    assert [nu for nu, _ in calls] == [k, k + 1.0]
+    assert all(points <= panels * specfun.PANEL_NODES for _, points in calls)
+    assert all(points <= 411840 // 10 for _, points in calls)
