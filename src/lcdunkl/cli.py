@@ -136,7 +136,7 @@ def _check_rules(prof, M, field):
     u = float(x.max() * lam.max()) / abs(M.b)
     if u > U_MAX:
         raise ConfigError(field, f"kernel argument max|x| max|lambda| / |b| = {u:.6g} beyond {U_MAX:g}")
-    size = 16 * np.unique(x).size * np.unique(lam).size
+    size = 16 * prof.x_rule.fold[0].size * prof.lam_rule.fold[0].size
     if size > TABLE_BUDGET:
         raise ConfigError(field, f"folded kernel tables need {size} bytes, beyond {TABLE_BUDGET}")
 

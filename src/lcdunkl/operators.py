@@ -4,7 +4,10 @@ Everything here has a spectral route (multiplier on the transform side,
 computed in log space so sigma^n growth never overflows) and, where the
 input is symbolic, an exact physical route through the operator calculus.
 Operator powers are powers of the inverse-matrix operator: the transform
-turns that operator into multiplication by (i lam / b).
+turns that operator into multiplication by (i lam / b). A norm sequence
+at p = 2 stays spectral (Parseval); at p != 2 its n_max + 1 multiplied
+spectra meet the kernel tables in one folded contraction, and the L^p
+norms are summed over the classes of |x| without unfolding the inverses.
 """
 
 import math
@@ -14,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transform
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, _lp_norms, lp_norm
+from .quadrature import QuadratureRule, SampledFunction, lp_norm
 from .specfun import kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
 from .transform import Spectrum, _lcdt_apply, lcdt_forward
@@ -162,33 +166,51 @@ def _warn_if_edge_heavy(g: Spectrum, log_mult, ns):
 def _apply_multiplier(g: Spectrum, log_mult, phase, n, x_rule):
     """Inverse transform of phase^n |mult|^n g on x_rule."""
     _warn_if_edge_heavy(g, log_mult, [n])
-    (vals,), (mx,) = _multiplier_inverses(g, log_mult, phase, [n], x_rule)
+    cols, (mx,) = _scaled_powers(g, log_mult, phase, [n])
+    if mx == -math.inf:
+        return np.zeros(len(x_rule), dtype=np.complex128)
     if mx <= LOG_FLOAT_MAX:
-        out = vals * math.exp(mx)
+        out = _lcdt_apply(g.k, g.M.inverse(), x_rule, g.rule, cols[:, 0]) * math.exp(mx)
         if np.all(np.isfinite(out)):
             return out
     raise ComputationError("operator power overflowed; use norm_sequence for large n")
 
 
-def _multiplier_inverses(g: Spectrum, log_mult, phase, ns, x_rule):
-    """Inverse transforms of phase^n |mult|^n g for n in ns, factored as e^(mx_n) * row n.
+def _scaled_powers(g: Spectrum, log_mult, phase, ns):
+    """Columns phase^n |mult|^n g / e^(mx_n) for the n in ns with mx_n > -inf, and mx.
 
-    log_mult and phase give log|mult| and mult/|mult| on the nodes of g.
-    All rows meet the kernel tables in one contraction; a row whose
-    multiplied spectrum vanishes is zero, with mx_n = -inf.
+    log_mult and phase give log|mult| and mult/|mult| on the nodes of g;
+    mx_n is the largest log|mult^n g|, -inf where the product vanishes.
     """
     ns = np.asarray(ns)
     L = _log_powers(log_mult, ns) + _log_abs(g.values)
     mx = np.max(L, axis=1)
     live = np.isfinite(mx)
-    out = np.zeros((ns.size, len(x_rule)), dtype=np.complex128)
-    if not np.any(live):
-        return out, mx
     with np.errstate(invalid="ignore"):
         ang = np.exp(1j * np.angle(g.values))
     scaled = np.exp(L[live] - mx[live, None]) * phase ** ns[live, None] * ang
-    out[live] = _lcdt_apply(g.k, g.M.inverse(), x_rule.nodes, g.rule, np.ascontiguousarray(scaled.T)).T
-    return out, mx
+    return np.ascontiguousarray(scaled.T), mx
+
+
+def _folded_lp_norms(g: Spectrum, cols, p, x_rule):
+    """L^p norms on x_rule of the inverse transforms of the columns of cols, from the folded sums.
+
+    At x the inverse has modulus |b'|^-(k+1) |ev - i sign(x / b') od| of the
+    class of |x| (b' is the b-entry of g.M^-1; the output chirp has modulus
+    1), so each class gets one weight per sign of x. od vanishes at x = 0;
+    a class without a node of one sign gets weight and value 0.
+    """
+    Mi = g.M.inverse()
+    chirp = np.exp(0.5j * (Mi.a / Mi.b) * g.rule.nodes**2)[:, None]
+    ev, od = transform._core_folded(g.k, x_rule.fold, g.rule, chirp * cols, 1.0 / Mi.b)
+    s = math.copysign(1.0, Mi.b) * 1j * od
+    mags = np.abs(np.concatenate([ev - s, ev + s]))  # classes of x >= 0, then of x < 0
+    xa, xinv = x_rule.fold
+    side = xinv + xa.size * (x_rule.nodes < 0)
+    mags[np.bincount(side, minlength=2 * xa.size) == 0] = 0.0
+    w = np.bincount(side, x_rule.weights, 2 * xa.size)
+    norms = np.max(mags, axis=0) if p == math.inf else (w @ mags**p) ** (1.0 / p)
+    return abs(Mi.b) ** -(g.k + 1.0) * norms
 
 
 def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
@@ -206,9 +228,11 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
         return [0.5 * (m + math.log(s)) if np.isfinite(m) else -math.inf for m, s in zip(mx, sums)]
     if x_rule is None:
         raise ParameterError("p != 2 needs a physical rule for the norms")
-    h, mx = _multiplier_inverses(g, log_mult, phase, ns, x_rule)
-    norms = _lp_norms(x_rule.weights, h, p)
-    return [m + math.log(v) if np.isfinite(m) and v > 0 else -math.inf for m, v in zip(mx, norms)]
+    cols, mx = _scaled_powers(g, log_mult, phase, ns)
+    norms = np.zeros(ns.size)
+    if cols.shape[1]:
+        norms[np.isfinite(mx)] = _folded_lp_norms(g, cols, p, x_rule)
+    return [m + math.log(v) if v > 0 else -math.inf for m, v in zip(mx, norms)]
 
 
 def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
@@ -289,7 +313,7 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
         )
     coeffs = np.cumprod([1.0] + [n / m for m in range(1, series_terms + 1)])
     laplacian_powers = np.power.outer(-mu2, np.arange(series_terms + 1)) * g.values[:, None]
-    terms = _lcdt_apply(kk, mm.inverse(), xr.nodes, g.rule, laplacian_powers)
+    terms = _lcdt_apply(kk, mm.inverse(), xr, g.rule, laplacian_powers)
     return SampledFunction(xr, terms @ coeffs, label=getattr(f, "label", ""))
 
 

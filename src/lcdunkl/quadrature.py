@@ -10,6 +10,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -82,6 +83,14 @@ class QuadratureRule:
 
     def __len__(self):
         return self.nodes.shape[0]
+
+    @cached_property
+    def fold(self):
+        """Sorted unique |nodes| and each node's class in it, computed once per rule (read-only)."""
+        folded = np.unique(np.abs(self.nodes), return_inverse=True)
+        for a in folded:
+            a.setflags(write=False)
+        return folded
 
 
 def _dunkl_density(k: float, x: np.ndarray) -> np.ndarray:
@@ -208,17 +217,11 @@ def integrate(f: SampledFunction) -> complex:
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """L^p norm against the Dunkl measure; p = inf is the grid maximum."""
-    return float(_lp_norms(f.rule.weights, f.values, p))
-
-
-def _lp_norms(weights: np.ndarray, values: np.ndarray, p: float) -> np.ndarray:
-    """L^p norms of the rows of values, whose last axis runs over the nodes of weights."""
     if p == math.inf:
-        return np.max(np.abs(values), axis=-1) if weights.size else np.zeros(values.shape[:-1])
+        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if not p >= 1:
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    av = np.abs(values)
-    return np.sum(weights * av**p, axis=-1) ** (1.0 / p)
+    return float(np.sum(f.rule.weights * np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

@@ -11,6 +11,8 @@ the tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
 under the same accuracy contract. One cached pair serves both directions
 of a grid pair (the other one reads the transposed view), and the cache
 holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.
+_core_folded returns the even and odd sums on unique|freq| (p != 2 norm
+sequences read their norms off these), and _core_apply unfolds them.
 """
 
 import json
@@ -146,21 +148,31 @@ def _fold_columns(inv: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
     return np.bincount((inv[:, None] * c + np.arange(c)).ravel(), r.ravel(), n * c).reshape(n, c)
 
 
-def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float):
-    """sum_j w_j f_j E_k(-i freq inv_b, x_j) for every frequency.
+def _core_folded(k: float, fold, rule: QuadratureRule, fvals: np.ndarray, inv_b: float):
+    """Even and odd parts ev, od of sum_j w_j f_j E_k(-i freq inv_b, x_j) on unique|freq|.
 
-    fvals is a vector or an (n_x, m) block, whose columns are transformed
-    together. w f folds onto unique|x| as an even sum and a sign(x)-weighted
-    odd sum; each meets its real table in one GEMM against (re, im)
-    columns, and the odd part unfolds with the sign of freq * inv_b.
+    fold is (unique|freq|, class of each freq). fvals is a vector or an
+    (n_x, m) block, whose columns are transformed together. w f folds onto
+    unique|x| as an even sum and a sign(x)-weighted odd sum; each meets
+    its real table in one GEMM against (re, im) columns, leaving out the
+    leading and trailing classes whose folded input is zero in every
+    column (exact). The transform at freq is ev - i sign(freq inv_b) od.
     """
-    x = rule.nodes
-    fa, finv = np.unique(np.abs(freqs), return_inverse=True)
-    xa, xinv = np.unique(np.abs(x), return_inverse=True)
-    even, odd = _bessel_tables(k, fa, xa, 1.0 / abs(inv_b))
-    wf = rule.weights[:, None] * fvals.reshape(x.size, -1)
-    ev = (even @ _fold_columns(xinv, xa.size, wf)).view(np.complex128)
-    od = (odd @ _fold_columns(xinv, xa.size, np.sign(x)[:, None] * wf)).view(np.complex128)
+    xa, xinv = rule.fold
+    wf = rule.weights[:, None] * fvals.reshape(rule.nodes.size, -1)
+    fe = _fold_columns(xinv, xa.size, wf)
+    fo = _fold_columns(xinv, xa.size, np.sign(rule.nodes)[:, None] * wf)
+    held = np.flatnonzero(np.any(fe, axis=1) | np.any(fo, axis=1))
+    cut = slice(held[0], held[-1] + 1) if held.size else slice(0, 0)
+    even, odd = _bessel_tables(k, fold[0], xa, 1.0 / abs(inv_b))
+    return (even[:, cut] @ fe[cut]).view(np.complex128), (odd[:, cut] @ fo[cut]).view(np.complex128)
+
+
+def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float, fold=None):
+    """_core_folded unfolded onto freqs; fold defaults to that of freqs, computed here."""
+    fold = np.unique(np.abs(freqs), return_inverse=True) if fold is None else fold
+    ev, od = _core_folded(k, fold, rule, fvals, inv_b)
+    finv = fold[1]
     out = ev[finv] - 1j * np.sign(freqs * inv_b)[:, None] * od[finv]
     return out.reshape(freqs.shape + fvals.shape[1:])
 
@@ -217,16 +229,16 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
     return total
 
 
-def _lcdt_apply(k: float, M: CanonicalMatrix, lam: np.ndarray, rule: QuadratureRule, fvals: np.ndarray):
-    """(ib)^(-(k+1)) e^{i d lam^2/(2b)} core(e^{i a x^2/(2b)} f) at the frequencies lam.
+def _lcdt_apply(k: float, M: CanonicalMatrix, lam_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
+    """(ib)^(-(k+1)) e^{i d lam^2/(2b)} core(e^{i a x^2/(2b)} f) at the nodes lam of lam_rule.
 
     fvals is a vector of samples on rule or an (n_x, m) block of columns.
     """
-    x = rule.nodes
+    x, lam = rule.nodes, lam_rule.nodes
     col = (slice(None),) + (None,) * (fvals.ndim - 1)
     chirp_x = np.exp(0.5j * (M.a / M.b) * x * x)[col]
     chirp_l = np.exp(0.5j * (M.d / M.b) * lam * lam)[col]
-    core = _core_apply(k, lam, rule, chirp_x * fvals, 1.0 / M.b)
+    core = _core_apply(k, lam, rule, chirp_x * fvals, 1.0 / M.b, lam_rule.fold)
     return principal_power(1j * M.b, -(k + 1.0)) * chirp_l * core
 
 
@@ -242,7 +254,7 @@ def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | Non
     fs, warns = _as_sampled(f, x_rule, kk)
     if fs.rule.k != kk or lam_rule.k != kk:
         raise ParameterError("rules were built for a different Dunkl parameter")
-    values = _lcdt_apply(kk, mm, lam_rule.nodes, fs.rule, fs.values)
+    values = _lcdt_apply(kk, mm, lam_rule, fs.rule, fs.values)
     for w in warns:
         _warnings.warn(w, AccuracyWarning)
     return Spectrum(rule=lam_rule, values=values, k=kk, M=mm, label=getattr(f, "label", ""), warnings=warns)
@@ -255,14 +267,8 @@ def lcdt_inverse(g: Spectrum, x_rule: QuadratureRule) -> SampledFunction:
 
 
 def dunkl_transform(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | None = None) -> "Spectrum":
-    """Plain Dunkl transform (no chirps, no prefactor) on lam_rule."""
-    kk = kval(k)
-    fs, warns = _as_sampled(f, x_rule, kk)
-    vals = _core_apply(kk, lam_rule.nodes, fs.rule, fs.values, 1.0)
-    eye = CanonicalMatrix(0.0, 1.0, -1.0, 0.0)
-    for w in warns:
-        _warnings.warn(w, AccuracyWarning)
-    return Spectrum(rule=lam_rule, values=vals, k=kk, M=eye, label=getattr(f, "label", ""), warnings=warns)
+    """Dunkl transform as the LCDT at M = (0, 1; -1, 0), whose prefactor i^(-(k+1)) it carries."""
+    return lcdt_forward(f, k, CanonicalMatrix(0.0, 1.0, -1.0, 0.0), lam_rule, x_rule=x_rule)
 
 
 def dunkl_values_at(f: SampledFunction, k, freqs: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ def checks_specfun():
     worst = 0.0
     for k in (0.0, 2.0):
         prof = _gauss(k)
-        t = np.multiply.outer(np.unique(np.abs(prof.lam_rule.nodes)), np.unique(np.abs(prof.x_rule.nodes)))
+        t = np.multiply.outer(prof.lam_rule.fold[0], prof.x_rule.fold[0])
         for nu, vals in zip((k, k + 1.0), _bessel_j_tables((k, k + 1.0), t)):
             want = bessel_j_grid(nu, t)
             worst = max(worst, float(np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want)))))

@@ -14,7 +14,7 @@ from lcdunkl.operators import (
     heat_series_terms_required,
     norm_sequence,
 )
-from lcdunkl.quadrature import SampledFunction, lp_norm
+from lcdunkl.quadrature import QuadratureRule, SampledFunction, gaussian_mass_closed_form, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
 from lcdunkl.transform import Spectrum, lcdt_forward, lcdt_inverse
@@ -231,31 +231,50 @@ def _lognorms_one_n_at_a_time(g, log_mult, phase, p, n_max, x_rule):
     return np.array(out)
 
 
+def _x_rules(rule):
+    """rule; a copy whose positive nodes move by 1e-14 X and whose weights differ by sign
+    (not mirror-symmetric: each class of |x| holds one node); and a copy with a node at 0."""
+    x, w = rule.nodes, rule.weights
+    shifted = QuadratureRule(x + np.where(x > 0, 1e-14 * rule.X, 0.0), w * (1.0 + 0.25 * np.sign(x)), rule.X, rule.k)
+    mass = gaussian_mass_closed_form(rule.k, rule.X)
+    m = x.size // 2
+    centred = QuadratureRule(np.insert(x, m, 0.0), np.insert(0.9 * w, m, 0.1 * mass), rule.X, rule.k)
+    return [rule, shifted, centred]
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
 def test_batched_lognorms_match_one_n_at_a_time(prof, p):
     M_NEG = CanonicalMatrix(1.0, -0.9, 0.0, 1.0)
     lam = prof.lam_rule.nodes
+    # two bands: zero on the first and last classes of |lam| (sliced away) and on
+    # 0.8 < |lam| < 1.5 (kept); as a bump, and as a step whose edge classes carry weight
+    bands = bump_spectrum_values(lam, ((-0.8, -0.3), (1.5, 2.2)))
+    step = np.where(bands != 0, 1.0 + 0.5j * lam, 0.0)
+    assert np.all(bands[(np.abs(lam) < 0.3) | (np.abs(lam) > 2.2) | ((np.abs(lam) > 0.8) & (np.abs(lam) < 1.5))] == 0)
     spectra = [
         lcdt_forward(gaussian(-0.5), K, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule),
         Spectrum(prof.lam_rule, bump_spectrum_values(lam, ((-2.0, -0.5), (1.0, 2.0))), K, M_NEG),
+        Spectrum(prof.lam_rule, bands, K, M_SHEAR),
+        Spectrum(prof.lam_rule, step, K, M_NEG),
         Spectrum(prof.lam_rule, np.zeros(lam.shape), K, M_NEG),
     ]
-    for g in spectra:
-        mu = lam / g.M.b
-        P = RealPolynomial((0.5 * mu[7] ** 2, 0.0, -0.5))
-        assert P(mu[7]) == 0.0  # an exact zero of the multiplier on a node
-        with np.errstate(divide="ignore"):
-            multipliers = [
-                (np.log(np.abs(mu)), 1j * np.sign(mu)),  # i mu
-                (np.log(np.abs(P(mu))), np.sign(P(mu))),  # P(mu)
-                (2.0 * np.log(np.abs(mu)), -np.ones_like(mu)),  # -mu^2
-                (-(mu**2), np.ones_like(mu)),  # heat exp(-n mu^2)
-            ]
-        for log_mult, phase in multipliers:
-            got = np.array(_multiplier_lognorms(g, log_mult, phase, p, 12, prof.x_rule))
-            want = _lognorms_one_n_at_a_time(g, log_mult, phase, p, 12, prof.x_rule)
-            assert np.array_equal(np.isneginf(got), np.isneginf(want))
-            live = np.isfinite(want)
-            assert np.all(np.isfinite(got[live]))
-            assert np.max(np.abs(got[live] - want[live]), initial=0.0) <= 1e-12
-    assert np.all(np.isneginf(got))  # the all-zero spectrum
+    for x_rule in _x_rules(prof.x_rule):
+        for g in spectra:
+            mu = lam / g.M.b
+            P = RealPolynomial((0.5 * mu[7] ** 2, 0.0, -0.5))
+            assert P(mu[7]) == 0.0  # an exact zero of the multiplier on a node
+            with np.errstate(divide="ignore"):
+                multipliers = [
+                    (np.log(np.abs(mu)), 1j * np.sign(mu)),  # i mu
+                    (np.log(np.abs(P(mu))), np.sign(P(mu))),  # P(mu)
+                    (2.0 * np.log(np.abs(mu)), -np.ones_like(mu)),  # -mu^2
+                    (-(mu**2), np.ones_like(mu)),  # heat exp(-n mu^2)
+                ]
+            for log_mult, phase in multipliers:
+                got = np.array(_multiplier_lognorms(g, log_mult, phase, p, 12, x_rule))
+                want = _lognorms_one_n_at_a_time(g, log_mult, phase, p, 12, x_rule)
+                assert np.array_equal(np.isneginf(got), np.isneginf(want))
+                live = np.isfinite(want)
+                assert np.all(np.isfinite(got[live]))
+                assert np.max(np.abs(got[live] - want[live]), initial=0.0) <= 1e-12
+        assert np.all(np.isneginf(got))  # the all-zero spectrum

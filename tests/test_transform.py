@@ -73,9 +73,19 @@ def test_fourier_matrix_reduces_to_dunkl(k):
     x_rule, lam_rule = rules(k)
     f = gaussian(-0.5, m=1, coeff=0.4 + 1j)
     lcdt = lcdt_forward(f, k, M_FOURIER, lam_rule, x_rule=x_rule)
-    plain = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
+    dunkl = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
+    plain = dunkl_values_at(SampledFunction(x_rule, evaluate(f, x_rule.nodes)), k, lam_rule.nodes)
     pref = principal_power(1j, -(k + 1.0))
-    assert np.max(np.abs(lcdt.values - pref * plain.values)) <= 1e-9
+    assert dunkl.M == M_FOURIER
+    assert np.max(np.abs(dunkl.values - lcdt.values)) <= 1e-12
+    assert np.max(np.abs(lcdt.values - pref * plain)) <= 1e-9
+
+
+def test_dunkl_transform_round_trip():
+    prof = gauss_profile(0.5)
+    g = dunkl_transform(gaussian(-0.5), 0.5, prof.lam_rule, x_rule=prof.x_rule)
+    back = lcdt_inverse(g, prof.x_rule)
+    assert np.max(np.abs(back.values - evaluate(gaussian(-0.5), prof.x_rule.nodes))) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -237,6 +247,19 @@ def test_folded_forward_and_inverse_match_dense_sums(M):
     assert_close(g.values, dense_lcdt(f.values, M, prof.lam_rule, prof.x_rule))
     back = lcdt_inverse(g, prof.x_rule)
     assert_close(back.values, dense_lcdt(g.values, M.inverse(), prof.x_rule, prof.lam_rule))
+
+
+@pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
+def test_folded_inverse_of_banded_spectrum_matches_dense_sums(M):
+    # zero on the first and last classes of |lam| (sliced out of the contraction)
+    # and on 1.5 < |lam| < 2.5 (kept); nonzero up to the band edges, odd on the
+    # inner band and even on the outer one, so each end of the slice sees one part only
+    prof = small_profile()
+    lam = prof.lam_rule.nodes
+    a = np.abs(lam)
+    vals = np.where((a > 0.5) & (a < 1.5), (1.0 + 0.5j) * lam, 0.0) + np.where((a > 2.5) & (a < 4.0), 1.0 - 0.3j, 0.0)
+    g = Spectrum(prof.lam_rule, vals, FOLD_K, M)
+    assert_close(lcdt_inverse(g, prof.x_rule).values, dense_lcdt(vals, M.inverse(), prof.x_rule, prof.lam_rule))
 
 
 def test_folded_values_at_asymmetric_unsorted_frequencies():
