@@ -181,6 +181,7 @@ def _scaled_powers(g: Spectrum, log_mult, phase, ns):
 
     log_mult and phase give log|mult| and mult/|mult| on the nodes of g;
     mx_n is the largest log|mult^n g|, -inf where the product vanishes.
+    phase is 1, -1, i or -i (0 where mult is): its powers repeat with period 4.
     """
     ns = np.asarray(ns)
     L = _log_powers(log_mult, ns) + _log_abs(g.values)
@@ -188,7 +189,8 @@ def _scaled_powers(g: Spectrum, log_mult, phase, ns):
     live = np.isfinite(mx)
     with np.errstate(invalid="ignore"):
         ang = np.exp(1j * np.angle(g.values))
-    scaled = np.exp(L[live] - mx[live, None]) * phase ** ns[live, None] * ang
+    powers = np.cumprod([np.ones_like(phase), phase, phase, phase], axis=0)  # exact products
+    scaled = np.exp(L[live] - mx[live, None]) * powers[ns[live] % 4] * ang
     return np.ascontiguousarray(scaled.T), mx
 
 

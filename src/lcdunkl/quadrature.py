@@ -1,9 +1,9 @@
 """Quadrature against the Dunkl measure |x|^(2k+1) dx / (2^(k+1) Gamma(k+1)).
 
-Rules are composite Gauss-Legendre panels on a symmetric interval
-[-X, X] with the Dunkl density folded into the weights. Zero is always
-a panel edge, so each panel sees a one-sided power x^(2k+1) and panel
-integrands stay smooth.
+Rules are composite Gauss panels on a symmetric interval [-X, X] with
+the Dunkl density folded into the weights. Zero is always a panel edge:
+the two panels there are Gauss-Jacobi, exact for the power |x|^(2k+1),
+and the others Gauss-Legendre, on which the density is smooth.
 """
 
 import io
@@ -98,8 +98,19 @@ def _dunkl_density(k: float, x: np.ndarray) -> np.ndarray:
     return np.abs(x) ** (2.0 * k + 1.0) / norm
 
 
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes on [-1, 1] and mass fractions of the n-point Gauss rule for (1+t)^beta (Golub-Welsch)."""
+    # numpy's eigh: scipy's roots_jacobi would import scipy.linalg, ~80 ms in every fresh process
+    j = np.arange(1.0, n)
+    s = 2.0 * j + beta
+    diag = np.append(beta / (beta + 2.0), beta * beta / (s * (s + 2.0)))
+    off = 2.0 * j * (j + beta) / (s * np.sqrt(s * s - 1.0))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return t, v[0] ** 2
+
+
 def build_rule_from_edges(k, edges, nodes_per_panel: int) -> QuadratureRule:
-    """Composite Gauss-Legendre rule with explicit symmetric panel edges."""
+    """Composite Gauss rule on explicit symmetric panel edges: Jacobi at 0, Legendre elsewhere."""
     kk = kval(k)
     edges = np.asarray(sorted(float(e) for e in edges), dtype=np.float64)
     if edges.size < 3 or not np.allclose(edges, -edges[::-1], rtol=0, atol=1e-13 * edges[-1]):
@@ -109,11 +120,17 @@ def build_rule_from_edges(k, edges, nodes_per_panel: int) -> QuadratureRule:
     if nodes_per_panel < 2:
         raise ParameterError("nodes_per_panel must be >= 2")
     base_x, base_w = leggauss(nodes_per_panel)
+    jac_t, jac_w = _gauss_jacobi(nodes_per_panel, 2.0 * kk + 1.0)
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
+        if lo == 0.0:
+            # x = half (1+t) carries the density as (1+t)^(2k+1); the panel's mass is hi^(2k+2) / ((2k+2) norm)
+            nodes.append(half * (1.0 + jac_t))
+            weights.append(jac_w * (hi * _dunkl_density(kk, hi) / (2.0 * kk + 2.0)))
+            continue
         x = mid + half * base_x
         nodes.append(x)
         weights.append(half * base_w * _dunkl_density(kk, x))

@@ -6,10 +6,10 @@ u^2 <= 16(nu+1), where its terms stay moderate; beyond, the classical
 J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
 1986), through spherical_jn at half-integer orders. j_{-1/2} is cos.
 
-The transform's kernel tables come from ``_bessel_j_tables``: at orders
-that go through jv, it runs ``bessel_j_grid`` only at Chebyshev points on
+The transform's kernel tables come from ``_bessel_j_tables``: at every
+order but -1/2, it runs ``bessel_j_grid`` only at Chebyshev points on
 panels of width at most 1/2 and sums each panel's series over the table.
-Half-integer orders, cos and small tables stay on ``bessel_j_grid``, as do
+cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
 ``bessel_j_norm`` and ``dunkl_kernel_dx``.
 """
 
@@ -175,21 +175,21 @@ _TO_COEFFS[0] *= 0.5
 
 
 def _bessel_j_tables(orders, u) -> list:
-    """[j_nu(u) for nu in orders], interpolated at the orders that go through jv.
+    """[j_nu(u) for nu in orders], interpolated at every order but -1/2.
 
-    Where jv (AMOS) would run and u holds more points than the panel nodes,
-    bessel_j_grid runs only at PANEL_NODES Chebyshev points on each of
-    ceil(max|u| / PANEL_WIDTH) equal panels over [0, max|u|], and a
-    Clenshaw sum of each panel's series fills the table in chunks of
-    _CHUNK points. Half-integer orders (spherical_jn is cheaper than the
-    sum), nu = -1/2 (cos) and small tables get bessel_j_grid itself.
+    Where u holds more points than the panel nodes, bessel_j_grid runs only
+    at PANEL_NODES Chebyshev points on each of ceil(max|u| / PANEL_WIDTH)
+    equal panels over [0, max|u|], and a Clenshaw sum of each panel's
+    series fills the table in chunks of _CHUNK points. nu = -1/2 (cos is
+    exact; the sum loses ~1e-13 to argument reduction near |u| = 2000)
+    and small tables get bessel_j_grid itself.
     """
     orders = [float(nu) for nu in orders]
     u = np.asarray(u, dtype=np.float64)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
     # zero, non-finite or out-of-range arguments go to bessel_j_grid, which rejects the latter
     n = math.ceil(umax / PANEL_WIDTH) if 0.0 < umax <= U_MAX else 0
-    fit = [i for i, nu in enumerate(orders) if nu != -0.5 and not (nu - 0.5).is_integer()]
+    fit = [i for i, nu in enumerate(orders) if nu != -0.5]
     if not fit or n == 0 or u.size <= n * PANEL_NODES:
         return [bessel_j_grid(nu, u) for nu in orders]
     out = [np.empty(u.shape) if i in fit else bessel_j_grid(nu, u) for i, nu in enumerate(orders)]

@@ -6,8 +6,8 @@ E_k(-i mu, x) = j_k(mu x) - i mu x j_{k+1}(mu x) / (2(k+1)) is a part
 even in mu x plus a part odd in it, so both parts are tabulated on the
 folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
 factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
-rules that quarters the table. Where j_k and j_{k+1} would come from jv,
-the tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
+rules that quarters the table. At every order but -1/2 (cos), the
+tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
 under the same accuracy contract. One cached pair serves both directions
 of a grid pair (the other one reads the transposed view), and the cache
 holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.

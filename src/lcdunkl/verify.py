@@ -91,9 +91,9 @@ def checks_specfun():
     )
     out.append(_check("bessel_parity", "specfun", worst, 1e-12))
 
-    # the transform's kernel tables interpolate j_k and j_{k+1} where jv runs
+    # the transform's kernel tables interpolate j_k and j_{k+1} (not cos)
     worst = 0.0
-    for k in (0.0, 2.0):
+    for k in (0.0, 0.5, 2.0):
         prof = _gauss(k)
         t = np.multiply.outer(prof.lam_rule.fold[0], prof.x_rule.fold[0])
         for nu, vals in zip((k, k + 1.0), _bessel_j_tables((k, k + 1.0), t)):

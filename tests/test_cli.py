@@ -132,6 +132,13 @@ def test_bad_value_sweep_names_the_leaf(tmp_path, capsys, leaf):
         assert json.loads(out)["error"]["field"] in allowed, (leaf, value, out)
 
 
+@pytest.mark.parametrize("k", [0.3, 0.4, 0.6, 0.8, 1.1])
+def test_default_transform_across_k(tmp_path, k):
+    # Gauss-Jacobi origin panels: the default bump rules calibrate at any k
+    cfg = write_cfg(tmp_path, {"k": k})
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+
 def test_infinite_p_report_is_strict_json(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, {"estimator": {"p": "inf"}})

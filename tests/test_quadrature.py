@@ -121,6 +121,18 @@ def test_custom_edges_rule():
     assert got == pytest.approx(gaussian_mass_closed_form(0.0, 4.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [-0.5, 0.3, 0.8, 2.2])
+def test_origin_panels_are_exact_for_the_dunkl_weight(k):
+    # one panel each side of 0: Gauss-Jacobi integrates x^(2m) against
+    # |x|^(2k+1) exactly up to m = n - 1, whether or not 2k+1 is an integer
+    n = 8
+    rule = build_rule_from_edges(k, [-1.0, 0.0, 1.0], n)
+    norm = 2.0 ** (k + 1.0) * math.gamma(k + 1.0)
+    for m in range(n):
+        want = 2.0 / ((2 * m + 2.0 * k + 2.0) * norm)
+        assert abs(np.sum(rule.weights * rule.nodes ** (2 * m)) - want) <= 1e-14 * want
+
+
 def test_json_round_trip_bit_exact():
     rule = build_rule(0.5, 7.0, 16, 10)
     vals = np.exp(-rule.nodes**2) * (1.3 + 0.7j) + rule.nodes * 0.1j

@@ -145,7 +145,7 @@ def interpolation_grid():
     return np.concatenate([np.linspace(0.0, 2000.0, 40001), rng.uniform(0.0, 2000.0, 20000)])
 
 
-@pytest.mark.parametrize("nu", [-0.3, 0.0, 1.0, 1.6, 2.1, 2.6, 3.1, 6.0, 150.3])
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 1.5, 1.6, 2.1, 2.5, 2.6, 3.1, 6.0, 150.3, 150.5])
 def test_interpolated_table_against_mpmath(nu):
     t = interpolation_grid()
     (vals,) = specfun._bessel_j_tables((nu,), t)
@@ -178,14 +178,17 @@ def test_interpolated_table_edges():
         specfun._bessel_j_tables((1.6,), np.append(t, U_MAX * (1.0 + 1e-12)))
     with pytest.raises(RangeError):
         specfun._bessel_j_tables((600.0, 601.0), t)
-    # fewer points than panel nodes, half-integer orders and cos: bessel_j_grid itself
+    # fewer points than panel nodes: bessel_j_grid itself, half-integer orders too
     small = np.linspace(0.0, 100.0, 2000)
     assert small.size <= math.ceil(100.0 / specfun.PANEL_WIDTH) * specfun.PANEL_NODES
-    for nu, vals in zip((0.3, 1.3), specfun._bessel_j_tables((0.3, 1.3), small)):
+    orders = (0.3, 1.3, 0.5, 1.5)
+    for nu, vals in zip(orders, specfun._bessel_j_tables(orders, small)):
         assert np.array_equal(vals, bessel_j_grid(nu, small))
-    orders = (-0.5, 0.5, 1.5, 2.5, 150.5)
-    for nu, vals in zip(orders, specfun._bessel_j_tables(orders, t)):
-        assert np.array_equal(vals, bessel_j_grid(nu, t))
+    # cos at any size, beside an interpolated j_{1/2} (the k = -1/2 pair)
+    even, odd = specfun._bessel_j_tables((-0.5, 0.5), t)
+    assert np.array_equal(even, bessel_j_grid(-0.5, t))
+    want = bessel_j_grid(0.5, t)
+    assert np.max(np.abs(odd - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
 def test_dunkl_kernel_trivial_lam_zero():

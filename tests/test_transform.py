@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,13 +325,9 @@ def test_bump_round_trip_at_large_order():
 
 
 def test_table_build_evaluates_only_panel_nodes(monkeypatch):
-    # a cold table pair of the k = 1.8 bump grid runs the exact evaluator
-    # at the interpolation nodes only, not at its 411,840 entries per order
-    k = 1.8
-    prof = bump_profile(k, ((1.0, 2.0),))
-    fa = np.unique(np.abs(prof.lam_rule.nodes))
-    xa = np.unique(np.abs(prof.x_rule.nodes))
-    assert fa.size * xa.size == 411840
+    # a cold table pair of the bump grid runs the exact evaluator at the
+    # interpolation nodes only, not at its 411,840 entries per order, at jv
+    # orders (k = 1.8) and at half-integer ones (k = 0.5) alike
     calls = []
     bessel_j_grid = specfun.bessel_j_grid
 
@@ -339,9 +336,31 @@ def test_table_build_evaluates_only_panel_nodes(monkeypatch):
         return bessel_j_grid(nu, u)
 
     monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+    for k in (1.8, 0.5):
+        prof = bump_profile(k, ((1.0, 2.0),))
+        fa = np.unique(np.abs(prof.lam_rule.nodes))
+        xa = np.unique(np.abs(prof.x_rule.nodes))
+        assert fa.size * xa.size == 411840
+        calls.clear()
+        monkeypatch.setattr(transform, "_tables", {})
+        transform._bessel_tables(k, fa, xa, 1.0)
+        panels = math.ceil(fa[-1] * xa[-1] / specfun.PANEL_WIDTH)
+        assert [nu for nu, _ in calls] == [k, k + 1.0]
+        assert all(points <= panels * specfun.PANEL_NODES for _, points in calls)
+        assert all(points <= 411840 // 10 for _, points in calls)
+
+
+def test_cold_table_build_memory(monkeypatch):
+    # the interpolant fills the pair in chunks: a cold half-integer pair of
+    # the 3120 x 528 bump grid peaks below twice the bytes it returns
+    prof = bump_profile(0.5, ((1.0, 2.0),))
+    assert (len(prof.x_rule), len(prof.lam_rule)) == (3120, 528)
+    fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     monkeypatch.setattr(transform, "_tables", {})
-    transform._bessel_tables(k, fa, xa, 1.0)
-    panels = math.ceil(fa[-1] * xa[-1] / specfun.PANEL_WIDTH)
-    assert [nu for nu, _ in calls] == [k, k + 1.0]
-    assert all(points <= panels * specfun.PANEL_NODES for _, points in calls)
-    assert all(points <= 411840 // 10 for _, points in calls)
+    tracemalloc.start()
+    try:
+        even, odd = transform._bessel_tables(0.5, fa, xa, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (even.nbytes + odd.nbytes)
