@@ -4,10 +4,15 @@ Everything here has a spectral route (multiplier on the transform side,
 computed in log space so sigma^n growth never overflows) and, where the
 input is symbolic, an exact physical route through the operator calculus.
 Operator powers are powers of the inverse-matrix operator: the transform
-turns that operator into multiplication by (i lam / b). A norm sequence
-at p = 2 stays spectral (Parseval); at p != 2 its n_max + 1 multiplied
-spectra meet the kernel tables in one folded contraction, and the L^p
-norms are summed over the classes of |x| without unfolding the inverses.
+turns that operator into multiplication by (i lam / b). The multipliers
+m(mu), mu = lam / b, of the operator, of P(i Lambda), of the Laplacian
+and of the heat flow are defined here once, as mu -> (log|m|, m/|m|):
+`_power` applies m^n, and `_sequence` (shared by `norm_sequence` and
+every estimator) takes the log-norms of inverse(m^n g), n <= n_max. At
+p = 2 those stay spectral (Parseval); at p != 2 the n_max + 1
+multiplied spectra meet the kernel tables in one folded contraction,
+and the L^p norms are summed over the classes of |x| without unfolding
+the inverses.
 """
 
 import math
@@ -88,7 +93,6 @@ class NormSequence:
         n = np.arange(lognorms.shape[0])
         with np.errstate(invalid="ignore", over="ignore"):
             root = np.exp(lognorms / np.maximum(n, 1))
-            root[0] = np.nan
             d = np.diff(lognorms, prepend=np.nan)
             ratio = np.exp(d)
         both_zero = np.isneginf(lognorms) & np.isneginf(np.roll(lognorms, 1))
@@ -139,6 +143,25 @@ def _resolve_x_rule(f, x_rule):
 def _log_abs(values):
     with np.errstate(divide="ignore"):
         return np.log(np.abs(values))
+
+
+def _mult_i(mu):  # the inverse-matrix operator
+    return _log_abs(mu), 1j * np.sign(mu)
+
+
+def _mult_poly(P):  # P(i Lambda)
+    def mult(mu):
+        pvals = P(mu)
+        return _log_abs(pvals), np.sign(pvals)
+    return mult
+
+
+def _mult_laplacian(mu):  # -mu^2
+    return 2.0 * _log_abs(mu), -np.ones_like(mu)
+
+
+def _mult_heat(mu):  # exp(-mu^2), the heat flow at time 1
+    return -(mu**2), np.ones_like(mu)
 
 
 def _log_powers(log_mult, ns):
@@ -237,17 +260,35 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
     return [m + math.log(v) if v > 0 else -math.inf for m, v in zip(mx, norms)]
 
 
+def _resolved(f, k, M, lam_rule, x_rule):
+    """k and M checked, then the output's x rule and the spectrum of f."""
+    kk, mm = kval(k), matval(M)
+    xr = _resolve_x_rule(f, x_rule)
+    return kk, mm, xr, spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
+
+
+def _power(f, k, M, n, multiplier, lam_rule, x_rule) -> SampledFunction:
+    """Inverse transform of m^n times the spectrum of f, with (log|m|, m/|m|) = multiplier(lam/b)."""
+    _, mm, xr, g = _resolved(f, k, M, lam_rule, x_rule)
+    out = _apply_multiplier(g, *multiplier(g.rule.nodes / mm.b), n, xr)
+    return SampledFunction(xr, out, label=getattr(f, "label", ""))
+
+
+def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier):
+    """Spectrum g of f and the norms of inverse(m^n g), n <= n_max, with (log|m|, m/|m|) = multiplier(lam/b)."""
+    mm = matval(M)
+    if isinstance(f, SampledFunction) and x_rule is None:
+        x_rule = f.rule
+    g = spectrum_of(f, kval(k), mm, lam_rule, x_rule=x_rule)
+    log_mult, phase = multiplier(g.rule.nodes / mm.b)
+    return g, NormSequence.from_lognorms(p, "spectral", _multiplier_lognorms(g, log_mult, phase, p, n_max, x_rule))
+
+
 def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
     """n-th power of the inverse-matrix operator via the (i lam/b)^n multiplier."""
     if n < 0:
         raise ParameterError("operator power must be >= 0")
-    kk = kval(k)
-    mm = matval(M)
-    xr = _resolve_x_rule(f, x_rule)
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
-    mu = g.rule.nodes / mm.b
-    out = _apply_multiplier(g, _log_abs(mu), 1j * np.sign(mu), n, xr)
-    return SampledFunction(xr, out, label=getattr(f, "label", ""))
+    return _power(f, k, M, n, _mult_i, lam_rule, x_rule)
 
 
 def apply_poly_op(f, k, M, P: RealPolynomial, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
@@ -255,13 +296,7 @@ def apply_poly_op(f, k, M, P: RealPolynomial, n: int, lam_rule=None, x_rule=None
     P.require_nonconstant()
     if n < 0:
         raise ParameterError("operator power must be >= 0")
-    kk = kval(k)
-    mm = matval(M)
-    xr = _resolve_x_rule(f, x_rule)
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
-    pvals = P(g.rule.nodes / mm.b)
-    out = _apply_multiplier(g, _log_abs(pvals), np.sign(pvals), n, xr)
-    return SampledFunction(xr, out, label=getattr(f, "label", ""))
+    return _power(f, k, M, n, _mult_poly(P), lam_rule, x_rule)
 
 
 def heat_series_terms_required(q: float) -> int:
@@ -291,14 +326,10 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
         raise ParameterError("heat time must be >= 0")
     if mode not in ("multiplier", "series"):
         raise ParameterError(f"unknown heat mode {mode!r}")
-    kk = kval(k)
-    mm = matval(M)
-    xr = _resolve_x_rule(f, x_rule)
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
-    mu2 = (g.rule.nodes / mm.b) ** 2
     if mode == "multiplier":
-        out = _apply_multiplier(g, -mu2, np.ones_like(mu2), n, xr)
-        return SampledFunction(xr, out, label=getattr(f, "label", ""))
+        return _power(f, k, M, n, _mult_heat, lam_rule, x_rule)
+    kk, mm, xr, g = _resolved(f, k, M, lam_rule, x_rule)
+    mu2 = (g.rule.nodes / mm.b) ** 2
     q = float(n) * float(np.max(mu2))
     if q > SERIES_Q_MAX:
         raise ParameterError(
@@ -322,16 +353,13 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
 def norm_sequence(f, k, M, p: float, n_max: int, path: str = "spectral",
                   lam_rule=None, x_rule=None) -> NormSequence:
     """L^p norms of operator powers of f, accumulated in log space."""
-    kk = kval(k)
-    mm = matval(M)
+    kk, mm = kval(k), matval(M)
     if path == "spectral":
         xr = None if (isinstance(f, Spectrum) and p == 2.0) else _resolve_x_rule(f, x_rule)
-        g = spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
-        mu = g.rule.nodes / mm.b
-        lognorms = _multiplier_lognorms(g, _log_abs(mu), 1j * np.sign(mu), p, n_max, xr)
+        g, seq = _sequence(f, kk, mm, p, n_max, lam_rule, xr, _mult_i)
         if p != 2.0:
-            _warn_if_edge_heavy(g, _log_abs(mu), range(n_max + 1))
-        return NormSequence.from_lognorms(p, "spectral", lognorms)
+            _warn_if_edge_heavy(g, _mult_i(g.rule.nodes / mm.b)[0], range(n_max + 1))
+        return seq
     if path == "symbolic":
         if n_max > MAX_N_SYMBOLIC:
             raise ParameterError(f"symbolic path supports n_max <= {MAX_N_SYMBOLIC}")

@@ -1,6 +1,9 @@
 """Spectral-support estimators built on real Paley-Wiener limits.
 
-Each estimator turns a norm sequence into a support statistic:
+Each estimator turns a norm sequence into a support statistic. The
+sequence comes from `operators._sequence` with one of the multipliers
+defined in `operators`; each extrapolation below is one least-squares
+fit (`_tail_fit`) over a tail window of the sequence.
 
 * sigma (support radius): the 1/n-th roots of operator-power norms
   converge to sup |lam/b| over the spectral support. The root method
@@ -39,9 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .operators import NormSequence, RealPolynomial, _log_abs, _multiplier_lognorms, spectrum_of
-from .quadrature import SampledFunction
-from .specfun import kval, matval
+from .operators import NormSequence, RealPolynomial, _mult_heat, _mult_i, _mult_laplacian, _mult_poly, _sequence
 from .transform import Spectrum
 
 __all__ = [
@@ -66,54 +67,32 @@ EDGE_FRACTION = 0.9
 MIN_N_FIT = 4
 
 
-def _ls_fit(ns, vals, cols):
-    if len(vals) < len(cols):
-        raise ParameterError(f"{len(vals)} points cannot fit {len(cols)} columns; n_max must be >= {MIN_N_FIT}")
+# tail windows (first index, fewest points, share num/den): a fit keeps
+# the indices from max(first, len - max(fewest, num * len // den)) on
+_ROOT_WINDOW = (2, 6, (1, 3))
+_RATIO_WINDOW = (1, 8, (1, 2))
+_LOG_RATIO_WINDOW = (1, 10, (3, 4))
+_HEAT_WINDOW = (0, 10, (2, 3))
+
+
+def _tail_fit(ns, vals, window, basis):
+    """Coefficients and rms residual of the least-squares fit vals ~ basis(n) over a tail window of ns."""
+    first, fewest, (num, den) = window
+    lo = max(first, len(ns) - max(fewest, num * len(ns) // den))
+    n = ns[lo:].astype(float)
+    v = vals[lo:]
+    cols = basis(n)
+    if len(v) < len(cols):
+        raise ParameterError(f"{len(v)} points cannot fit {len(cols)} columns; n_max must be >= {MIN_N_FIT}")
     A = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-    resid = vals - A @ coef
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    resid = v - A @ coef
     return coef, float(np.sqrt(np.mean(resid**2)))
 
 
-def _root_extrapolate(ns, roots):
-    """Intercept of root ~ a + s/n over the last third, plus terminal slope."""
-    lo = max(2, len(ns) - max(6, len(ns) // 3))
-    n = ns[lo:].astype(float)
-    v = roots[lo:]
-    coef, rms = _ls_fit(n, v, [np.ones_like(n), 1.0 / n])
-    lin, _ = _ls_fit(n, v, [np.ones_like(n), n])
-    return float(coef[0]), float(lin[1]), rms
-
-
-def _accel_extrapolate(ns, vals):
-    """Intercept of vals ~ a + b n^(-1/2) + c/n over the last half."""
-    lo = max(1, len(ns) - max(8, len(ns) // 2))
-    n = ns[lo:].astype(float)
-    v = vals[lo:]
-    coef, rms = _ls_fit(n, v, [np.ones_like(n), n**-0.5, 1.0 / n])
-    return float(coef[0]), rms
-
-
-def _accel_extrapolate_log(ns, logvals):
-    """exp of the intercept of logvals ~ a + b n^(-1/2) + c/n.
-
-    Used for squared-multiplier sequences whose corrections are too large
-    for the linearized fit; the exponential model is exact in log space.
-    """
-    lo = max(1, len(ns) - max(10, 3 * len(ns) // 4))
-    n = ns[lo:].astype(float)
-    v = logvals[lo:]
-    coef, rms = _ls_fit(n, v, [np.ones_like(n), n**-0.5, 1.0 / n])
-    return float(math.exp(coef[0])), rms
-
-
-def _heat_extrapolate(ns, vals):
-    """Laplace-corrected intercept: [1, n^(-1/2), log n / n, 1/n]."""
-    lo = max(0, len(ns) - max(10, 2 * len(ns) // 3))
-    n = ns[lo:].astype(float)
-    v = vals[lo:]
-    coef, rms = _ls_fit(n, v, [np.ones_like(n), n**-0.5, np.log(n) / n, 1.0 / n])
-    return float(coef[0]), rms
+def _accel_basis(n):
+    """a + b n^(-1/2) + c/n: ratio limits with a square-root correction."""
+    return [np.ones_like(n), n**-0.5, 1.0 / n]
 
 
 def _grid_limit(g: Spectrum) -> float:
@@ -158,16 +137,6 @@ def support_radius_oracle(g: Spectrum, threshold: float) -> float:
     return float(np.max(hot) / abs(g.M.b)) if hot.size else 0.0
 
 
-def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier):
-    """Spectrum g of f and the norms of inverse(m^n g), n <= n_max; multiplier: mu -> (log|m|, m/|m|)."""
-    mm = matval(M)
-    if isinstance(f, SampledFunction) and x_rule is None:
-        x_rule = f.rule
-    g = spectrum_of(f, kval(k), mm, lam_rule, x_rule=x_rule)
-    log_mult, phase = multiplier(g.rule.nodes / mm.b)
-    return g, NormSequence.from_lognorms(p, "spectral", _multiplier_lognorms(g, log_mult, phase, p, n_max, x_rule))
-
-
 def _zero_input(n_max, seq, **values) -> Estimate:
     return Estimate(values, n_max, seq, True, {"zero_input": True})
 
@@ -177,20 +146,23 @@ def estimate_sigma(f, k, M, p: float = 2.0, n_max: int = 30, method: str = "rati
     """Support radius via the Paley-Wiener limit of operator-power norms."""
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
-    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (_log_abs(mu), 1j * np.sign(mu)))
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_i)
     if seq.is_zero():
         return _zero_input(n_max, seq, sigma_hat=0.0, method=method, p=p)
     ns = seq.n[1:]
     roots = seq.root[1:]
     glim = _grid_limit(g)
-    est, slope, rms = _root_extrapolate(ns, roots)
+    slope = float(_tail_fit(ns, roots, _ROOT_WINDOW, lambda n: [np.ones_like(n), n])[0][1])
     last_root = float(roots[-1])
     if method == "root":
+        coef, rms = _tail_fit(ns, roots, _ROOT_WINDOW, lambda n: [np.ones_like(n), 1.0 / n])
+        est = float(coef[0])
         converged = abs(est - last_root) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300)
         diag = {"last_root": last_root, "terminal_slope": slope, "fit_rms": rms, "grid_limit": glim}
     else:
         ratios = seq.ratio[1:]
-        est, rms = _accel_extrapolate(ns, ratios)
+        coef, rms = _tail_fit(ns, ratios, _RATIO_WINDOW, _accel_basis)
+        est = float(coef[0])
         last = float(ratios[-1])
         converged = abs(est - last) < CONVERGED_REL_CHANGE * max(abs(est), 1e-300) or rms < 1e-3 * abs(est)
         diag = {"last_ratio": last, "fit_rms": rms, "grid_limit": glim}
@@ -199,23 +171,27 @@ def estimate_sigma(f, k, M, p: float = 2.0, n_max: int = 30, method: str = "rati
     return Estimate({"sigma_hat": est, "method": method, "p": p}, n_max, seq, converged, diag)
 
 
+def _ratio_limit(seq):
+    """exp of the extrapolated log-ratio limit, its fit rms, the final root, and whether the two agree.
+
+    In log space: squared multipliers have corrections too large for the linearized fit.
+    """
+    with np.errstate(invalid="ignore"):
+        logratios = np.diff(seq.lognorm)
+    coef, rms = _tail_fit(seq.n[1:], logratios, _LOG_RATIO_WINDOW, _accel_basis)
+    lim = float(math.exp(coef[0]))
+    last = float(seq.root[-1])
+    return lim, rms, last, abs(lim - last) < 0.15 * max(abs(lim), 1e-300) or rms < 1e-3
+
+
 def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40,
                      lam_rule=None, x_rule=None) -> Estimate:
     """Is the spectrum inside {lam : |P(lam/b)| <= 1}? Score -> sup |P(lam/b)|."""
     P.require_nonconstant()
-
-    def multiplier(mu):
-        pvals = P(mu)
-        return _log_abs(pvals), np.sign(pvals)
-
-    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier)
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_poly(P))
     if seq.is_zero():
         return _zero_input(n_max, seq, inside=True, score=0.0)
-    with np.errstate(invalid="ignore"):
-        logratios = np.diff(seq.lognorm)
-    score, rms = _accel_extrapolate_log(seq.n[1:], logratios)
-    last = float(seq.root[-1])
-    converged = abs(score - last) < 0.15 * max(abs(score), 1e-300) or rms < 1e-3
+    score, rms, last, converged = _ratio_limit(seq)
     return Estimate({"inside": bool(score <= 1.0 + POLY_SCORE_TOL), "score": score}, n_max, seq, converged,
                     {"final_root": last, "fit_rms": rms})
 
@@ -223,19 +199,13 @@ def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40
 def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
                           lam_rule=None, x_rule=None) -> Estimate:
     """Laplacian-iterate roots: finite limit means compact spectrum (= sigma^2)."""
-    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (2.0 * _log_abs(mu), -np.ones_like(mu)))
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_laplacian)
     if seq.is_zero():
         return _zero_input(n_max, seq, compact=True, sigma2_hat=0.0)
-    ns = seq.n[1:]
-    roots = seq.root[1:]
-    _, slope, _ = _root_extrapolate(ns, roots)
-    with np.errstate(invalid="ignore"):
-        logratios = np.diff(seq.lognorm)
-    sigma2, rms = _accel_extrapolate_log(ns, logratios)
-    last = float(roots[-1])
+    slope = float(_tail_fit(seq.n[1:], seq.root[1:], _ROOT_WINDOW, lambda n: [np.ones_like(n), n])[0][1])
+    sigma2, rms, last, converged = _ratio_limit(seq)
     glim2 = _grid_limit(g) ** 2
     diag = {"final_root": last, "terminal_slope": slope, "fit_rms": rms, "grid_limit_sq": glim2}
-    converged = abs(sigma2 - last) < 0.15 * max(abs(sigma2), 1e-300) or rms < 1e-3
     compact = not (n_max * slope / max(last, 1e-300) > DIVERGENCE_SLOPE_SQUARED or sigma2 >= (EDGE_FRACTION**2) * glim2)
     if not compact:
         sigma2, converged = math.inf, False
@@ -243,14 +213,17 @@ def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
 
 
 def _heat_limit(f, k, M, p, n_max, lam_rule, x_rule):
-    """Heat norm sequence, extrapolated lim -log||h_n|| / n (None for zero input), last value, fit rms."""
-    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, lambda mu: (-(mu**2), np.ones_like(mu)))
+    """Heat norm sequence, extrapolated lim -log||h_n|| / n (None for zero input), last value, fit rms.
+
+    The fit carries the Laplace-type corrections [1, n^(-1/2), log(n)/n, 1/n].
+    """
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_heat)
     if seq.is_zero():
         return seq, None, None, None
     ns = seq.n[1:]
     d = -seq.lognorm[1:] / ns
-    est, rms = _heat_extrapolate(ns, d)
-    return seq, est, float(d[-1]), rms
+    coef, rms = _tail_fit(ns, d, _HEAT_WINDOW, lambda n: [np.ones_like(n), n**-0.5, np.log(n) / n, 1.0 / n])
+    return seq, float(coef[0]), float(d[-1]), rms
 
 
 def _heat_converged(est, last, rms):

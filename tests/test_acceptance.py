@@ -9,6 +9,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from lcdunkl.corpus import (
     SWEEP_K,
@@ -142,6 +143,7 @@ def test_ac04_intertwining():
     report("AC04 intertwining identity", worst <= 1e-7, f"max rel error {worst:.3e} <= 1e-7 for n <= 6")
 
 
+@pytest.mark.filterwarnings("ignore::lcdunkl.errors.AccuracyWarning")
 def test_ac05_heat_identity():
     worst = 0.0
     f = gaussian(-0.5)
@@ -259,6 +261,7 @@ def test_ac10_sobolev_machinery():
            f"kernel bound slack {worst_b:.2e} <= 1e-10")
 
 
+@pytest.mark.filterwarnings("ignore::lcdunkl.errors.AccuracyWarning")
 def test_ac11_determinism(tmp_path):
     from lcdunkl.cli import main
 

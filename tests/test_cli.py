@@ -99,6 +99,9 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         ("transform", {"function": {"type": "symexpr", "expr": GAUSSIAN_EXPR},
                        "grid": {"x_panels": 4096, "x_nodes": 64, "lambda_panels": 4096, "lambda_nodes": 64}},
          "grid"),
+        # |x|^(2k+1) overflows on the x rule: refused while the rule is built, not after a transform
+        ("transform", {"k": 80, "function": {"type": "symexpr", "expr": GAUSSIAN_EXPR},
+                       "grid": {"x_radius": 320, "x_panels": 64, "x_nodes": 12, "lambda_radius": 6.0}}, "grid"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
@@ -210,6 +213,7 @@ def test_estimate_report_keys(tmp_path, which, headline):
     assert set(report) == headline | common
 
 
+@pytest.mark.filterwarnings("ignore::lcdunkl.errors.AccuracyWarning")
 def test_verify_subset_report(tmp_path):
     out = tmp_path / "run"
     code = main(["verify", "--suite", "operators", "--out", str(out)])
@@ -219,6 +223,7 @@ def test_verify_subset_report(tmp_path):
     assert all(c["suite"] == "operators" for c in report["checks"])
 
 
+@pytest.mark.filterwarnings("ignore::lcdunkl.errors.AccuracyWarning")
 def test_verify_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--suite", "operators", "--out", str(out1)]) == 0

@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
-from lcdunkl.errors import ComputationError, ParameterError
+from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
 from lcdunkl.operators import (
     RealPolynomial,
+    _apply_multiplier,
+    _mult_heat,
+    _mult_i,
+    _mult_laplacian,
+    _mult_poly,
     _multiplier_lognorms,
     apply_poly_op,
     apply_power_spectral,
     heat_semigroup,
     heat_series_terms_required,
     norm_sequence,
+)
+from lcdunkl.paleywiener import (
+    compact_spectrum_test,
+    estimate_delta,
+    estimate_sigma,
+    poly_domain_test,
+    vanishing_interval_detect,
 )
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, gaussian_mass_closed_form, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
@@ -66,7 +78,8 @@ def test_power_norm_on_bump_spectrum():
     profb = bump_profile(K, ((1.0, 2.0),), b=1.0)
     f, spec = realize_bump(K, M_SHEAR, ((1.0, 2.0),), profb)
     for n in (1, 3):
-        out = apply_power_spectral(f, K, M_SHEAR, n, lam_rule=profb.lam_rule)
+        with pytest.warns(AccuracyWarning, match="grid edge"):  # the transform's floor reaches the grid edge
+            out = apply_power_spectral(f, K, M_SHEAR, n, lam_rule=profb.lam_rule)
         mu = profb.lam_rule.nodes / M_SHEAR.b
         want = math.sqrt(float(np.sum(profb.lam_rule.weights * np.abs(mu**n * spec.values) ** 2)))
         got = lp_norm(out, 2.0)
@@ -95,7 +108,8 @@ def test_poly_op_bounded_multiplier_contracts():
     P = RealPolynomial((0.0, 0.0, 0.25))
     base = lp_norm(f, 2.0)
     for n in (1, 2):
-        out = apply_poly_op(f, K, M_SHEAR, P, n, lam_rule=profb.lam_rule)
+        with pytest.warns(AccuracyWarning, match="grid edge"):
+            out = apply_poly_op(f, K, M_SHEAR, P, n, lam_rule=profb.lam_rule)
         assert lp_norm(out, 2.0) <= base * (1.0 + 1e-9)
 
 
@@ -114,10 +128,11 @@ def test_power_overflow_raises_computation_error(prof):
 def test_heat_modes_agree(heat_prof):
     prof, lam_small = heat_prof
     f = gaussian(-0.5)
-    for n in (1, 2, 3):
-        mult = heat_semigroup(f, K, M_SHEAR, n, mode="multiplier", lam_rule=lam_small, x_rule=prof.x_rule)
-        ser = heat_semigroup(f, K, M_SHEAR, n, mode="series", lam_rule=lam_small, x_rule=prof.x_rule)
-        assert np.max(np.abs(mult.values - ser.values)) <= 1e-6
+    with pytest.warns(AccuracyWarning, match="grid edge"):  # at n = 1, 2 lam_small cuts the Gaussian short
+        for n in (1, 2, 3):
+            mult = heat_semigroup(f, K, M_SHEAR, n, mode="multiplier", lam_rule=lam_small, x_rule=prof.x_rule)
+            ser = heat_semigroup(f, K, M_SHEAR, n, mode="series", lam_rule=lam_small, x_rule=prof.x_rule)
+            assert np.max(np.abs(mult.values - ser.values)) <= 1e-6
 
 
 def test_heat_identity_at_zero(prof):
@@ -155,19 +170,21 @@ def test_heat_bump_norm_window():
 def test_heat_semigroup_law(heat_prof):
     prof, lam_small = heat_prof
     f = gaussian(-0.5)
-    one = heat_semigroup(f, K, M_ROT, 1, lam_rule=lam_small, x_rule=prof.x_rule)
-    two_step = heat_semigroup(one, K, M_ROT, 2, lam_rule=lam_small)
-    direct = heat_semigroup(f, K, M_ROT, 3, lam_rule=lam_small, x_rule=prof.x_rule)
+    with pytest.warns(AccuracyWarning, match="grid edge"):
+        one = heat_semigroup(f, K, M_ROT, 1, lam_rule=lam_small, x_rule=prof.x_rule)
+        two_step = heat_semigroup(one, K, M_ROT, 2, lam_rule=lam_small)
+        direct = heat_semigroup(f, K, M_ROT, 3, lam_rule=lam_small, x_rule=prof.x_rule)
     assert np.max(np.abs(two_step.values - direct.values)) <= 1e-6
 
 
 def test_heat_monotone_decay(heat_prof):
     prof, lam_small = heat_prof
     f = gaussian(-0.5)
-    norms = [
-        lp_norm(heat_semigroup(f, K, M_SHEAR, n, lam_rule=lam_small, x_rule=prof.x_rule), 2.0)
-        for n in range(4)
-    ]
+    with pytest.warns(AccuracyWarning, match="grid edge"):
+        norms = [
+            lp_norm(heat_semigroup(f, K, M_SHEAR, n, lam_rule=lam_small, x_rule=prof.x_rule), 2.0)
+            for n in range(4)
+        ]
     assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(3))
 
 
@@ -278,3 +295,56 @@ def test_batched_lognorms_match_one_n_at_a_time(prof, p):
                 assert np.all(np.isfinite(got[live]))
                 assert np.max(np.abs(got[live] - want[live]), initial=0.0) <= 1e-12
         assert np.all(np.isneginf(got))  # the all-zero spectrum
+
+
+def _closed_forms(mu, P):
+    """(log|m|, m/|m|) of i mu, P(mu), -mu^2 and exp(-mu^2), as typed in the batched test above."""
+    with np.errstate(divide="ignore"):
+        return [
+            (np.log(np.abs(mu)), 1j * np.sign(mu)),
+            (np.log(np.abs(P(mu))), np.sign(P(mu))),
+            (2.0 * np.log(np.abs(mu)), -np.ones_like(mu)),
+            (-(mu**2), np.ones_like(mu)),
+        ]
+
+
+def _zero_on_node(mu):
+    P = RealPolynomial((0.5 * mu[7] ** 2, 0.0, -0.5))
+    assert P(mu[7]) == 0.0  # an exact zero of the multiplier on a node
+    return P
+
+
+def test_multipliers_are_the_closed_forms(prof):
+    mu = prof.lam_rule.nodes / M_ROT.b
+    P = _zero_on_node(mu)
+    got = [_mult_i(mu), _mult_poly(P)(mu), _mult_laplacian(mu), _mult_heat(mu)]
+    for (log_mult, phase), (want_log, want_phase) in zip(got, _closed_forms(mu, P)):
+        assert np.array_equal(log_mult, want_log)
+        assert np.array_equal(phase, want_phase)
+
+
+def test_every_multiplier_path_is_its_closed_form(prof):
+    # each operator power, norm_sequence and each estimator's sequence, bit for bit
+    xr = prof.x_rule
+    g = lcdt_forward(gaussian(-0.5), K, M_ROT, prof.lam_rule, x_rule=xr)
+    mu = prof.lam_rule.nodes / M_ROT.b
+    P = _zero_on_node(mu)
+    i_mu, poly, laplacian, heat = _closed_forms(mu, P)
+    powers = [
+        (apply_power_spectral(g, K, M_ROT, 3, x_rule=xr), i_mu, 3),
+        (apply_poly_op(g, K, M_ROT, P, 2, x_rule=xr), poly, 2),
+        (heat_semigroup(g, K, M_ROT, 2, x_rule=xr), heat, 2),
+    ]
+    for out, (log_mult, phase), n in powers:
+        assert np.array_equal(out.values, _apply_multiplier(g, log_mult, phase, n, xr))
+    for p in (2.0, 1.0):
+        sequences = [
+            (norm_sequence(g, K, M_ROT, p, 8, x_rule=xr), i_mu),
+            (estimate_sigma(g, K, M_ROT, p=p, n_max=8, x_rule=xr).sequence, i_mu),
+            (poly_domain_test(g, K, M_ROT, P, p=p, n_max=8, x_rule=xr).sequence, poly),
+            (compact_spectrum_test(g, K, M_ROT, p=p, n_max=8, x_rule=xr).sequence, laplacian),
+            (estimate_delta(g, K, M_ROT, p=p, n_max=8, x_rule=xr).sequence, heat),
+            (vanishing_interval_detect(g, K, M_ROT, p=p, n_max=8, x_rule=xr).sequence, heat),
+        ]
+        for seq, (log_mult, phase) in sequences:
+            assert np.array_equal(seq.lognorm, _multiplier_lognorms(g, log_mult, phase, p, 8, xr))

@@ -1,13 +1,14 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from lcdunkl import transform
 from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
-from lcdunkl.errors import ParameterError
-from lcdunkl.operators import RealPolynomial
+from lcdunkl.errors import AccuracyWarning, ParameterError
+from lcdunkl.operators import RealPolynomial, norm_sequence
 from lcdunkl.paleywiener import (
     compact_spectrum_test,
     estimate_delta,
@@ -307,3 +308,20 @@ def test_estimates_compare_by_identity(pipe12):
     assert (est == twin) is False
     assert (est.sequence == twin.sequence) is False
     assert np.array_equal(est.sequence.lognorm, twin.sequence.lognorm)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_only_norm_sequence_warns_at_the_grid_edge(pipe12, p):
+    # the physical bump's transform floor reaches the grid edge: norm_sequence
+    # says so at p != 2, and the estimators on the same input stay silent
+    prof, f, _ = pipe12
+    with pytest.warns(AccuracyWarning, match="grid edge"):
+        norm_sequence(f, K, M_SHEAR, p, 30, lam_rule=prof.lam_rule)
+    P = RealPolynomial((0.0, 0.0, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        estimate_sigma(f, K, M_SHEAR, p=p, lam_rule=prof.lam_rule)
+        poly_domain_test(f, K, M_SHEAR, P, p=p, lam_rule=prof.lam_rule)
+        compact_spectrum_test(f, K, M_SHEAR, p=p, lam_rule=prof.lam_rule)
+        estimate_delta(f, K, M_SHEAR, p=p, lam_rule=prof.lam_rule)
+        vanishing_interval_detect(f, K, M_SHEAR, p=p, lam_rule=prof.lam_rule)

@@ -114,6 +114,13 @@ def test_parameter_errors():
         build_rule(0.0, 8.0, 2, 2)  # too coarse: Gaussian calibration must fail
 
 
+def test_rule_with_overflowing_density_is_refused():
+    # |x|^161 passes the largest double past |x| ~ 82: 568 of the 768 weights
+    # would be inf, and their calibration sum nan
+    with pytest.raises(ParameterError, match="weights must be finite"):
+        build_rule(80.0, 320.0, 64, 12)
+
+
 def test_custom_edges_rule():
     edges = [-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0]
     rule = build_rule_from_edges(0.0, edges, 14)
