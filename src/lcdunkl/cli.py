@@ -18,7 +18,7 @@ import numpy as np
 
 from . import paleywiener
 from . import verify as verify_mod
-from .corpus import bump_profile, gauss_profile, realize_bump
+from .corpus import bump_profile, bump_spectrum, gauss_profile, realize_bump
 from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismatchError
 from .operators import MAX_N_SPECTRAL, RealPolynomial
 from .paleywiener import MIN_N_FIT, support_radius_oracle
@@ -196,8 +196,11 @@ def cmd_estimate(cfg, given, which, out_dir):
     est = cfg["estimator"]
     f, oracle = data, None
     if kind == "bump":
-        physical, spec = realize_bump(k, M, data, prof)
-        f = physical if which == "sigma" else spec
+        # only estimate_sigma takes physical input: the others need no inverse transform
+        if which == "sigma":
+            f, spec = realize_bump(k, M, data, prof)
+        else:
+            f = spec = bump_spectrum(k, M, data, prof)
         oracle = support_radius_oracle(spec, 1e-10)
 
     args = (f, k, M, P) if which == "poly" else (f, k, M)

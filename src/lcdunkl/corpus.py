@@ -2,9 +2,9 @@
 
 Two kinds of member: Schwartz-class symbolic expressions (Gaussians and
 friends, exact under the operator calculus) and compact-spectrum
-functions defined on the frequency side by smooth bumps and realized on
-the physical side through the inverse transform. Estimator ground truth
-for the bump members is their constructed support.
+functions, smooth bumps on the frequency side (``bump_spectrum``, closed
+form, no kernel table) realized on the physical side by an inverse
+transform (``realize_bump``). Estimator ground truth for a bump is its support.
 
 Grid sizing notes: the physical realization of a bump decays only like
 exp(-c sqrt(|x|)), so bump profiles use a wide x interval; the frequency
@@ -28,6 +28,7 @@ __all__ = [
     "gauss_profile",
     "bump_profile",
     "bump_spectrum_values",
+    "bump_spectrum",
     "realize_bump",
     "SymbolicMember",
     "BumpMember",
@@ -117,14 +118,16 @@ def bump_spectrum_values(lam: np.ndarray, intervals) -> np.ndarray:
     return out
 
 
+def bump_spectrum(k, M, intervals, profile: GridProfile, label="bump") -> Spectrum:
+    """Spectrally defined member on the frequency rule of profile, in closed form."""
+    vals = bump_spectrum_values(profile.lam_rule.nodes, intervals)
+    return Spectrum(profile.lam_rule, vals, kval(k), matval(M), label=label)
+
+
 def realize_bump(k, M, intervals, profile: GridProfile, label="bump"):
     """Spectrally defined member: returns (physical samples, its spectrum)."""
-    kk = kval(k)
-    mm = matval(M)
-    vals = bump_spectrum_values(profile.lam_rule.nodes, intervals)
-    spec = Spectrum(profile.lam_rule, vals, kk, mm, label=label)
-    phys = lcdt_inverse(spec, profile.x_rule)
-    return phys, spec
+    spec = bump_spectrum(k, M, intervals, profile, label=label)
+    return lcdt_inverse(spec, profile.x_rule), spec
 
 
 @dataclass(frozen=True)

@@ -124,8 +124,10 @@ class NormSequence:
 
 
 def spectrum_of(f, k, M, lam_rule: QuadratureRule | None, x_rule: QuadratureRule | None = None) -> Spectrum:
-    """Forward transform of f, or f itself when already frequency-side data."""
+    """Forward transform of f, or f itself when already frequency-side data for k and M."""
     if isinstance(f, Spectrum):
+        if f.k != kval(k) or f.M != matval(M):
+            raise ParameterError(f"spectrum is for k = {f.k!r}, M = {f.M}; got k = {kval(k)!r}, M = {matval(M)}")
         return f
     if lam_rule is None:
         raise ParameterError("a frequency rule is required for physical-side input")
@@ -173,8 +175,8 @@ def _log_powers(log_mult, ns):
 
 
 def _warn_if_edge_heavy(g: Spectrum, log_mult, ns):
-    """Warn when some |mult|^n g, n in ns, is not negligible at the grid edge."""
-    L = _log_powers(log_mult, ns) + _log_abs(g.values)
+    """Warn when some |mult|^n g, n in ns, n > 0, is not negligible at the grid edge (n = 0 is g itself)."""
+    L = _log_powers(log_mult, [n for n in ns if n > 0]) + _log_abs(g.values)
     edge = np.abs(g.rule.nodes) >= 0.98 * g.rule.X
     with np.errstate(invalid="ignore"):
         rel = L[:, edge] - np.max(L, axis=1, keepdims=True)

@@ -14,10 +14,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc
 
 from .errors import ParameterError, ShapeMismatchError
-from .specfun import kval
+from .specfun import kval, regularized_gamma
 
 __all__ = [
     "QuadratureRule",
@@ -39,7 +38,7 @@ def gaussian_mass_closed_form(k: float, X: float) -> float:
     Equals gamma_lower(k+1, X^2) / (2^(k+1) Gamma(k+1)) by the
     substitution u = x^2.
     """
-    return float(gammainc(k + 1.0, X * X)) / 2.0 ** (k + 1.0)
+    return regularized_gamma(k + 1.0, X * X)[0] / 2.0 ** (k + 1.0)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ The workhorse is ``bessel_j_grid``: j_nu(u) = Gamma(nu+1) (2/u)^nu J_nu(u)
 over arrays. A Kahan-summed power series covers |u| <= 7.5 or
 u^2 <= 16(nu+1), where its terms stay moderate; beyond, the classical
 J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
-1986), through spherical_jn at half-integer orders. j_{-1/2} is cos.
+1986), through spherical_jn at half-integer orders; scipy is imported by
+the first call that reaches that branch. j_{-1/2} is cos.
 
 The transform's kernel tables come from ``_bessel_j_tables``: at every
 order but -1/2, it runs ``bessel_j_grid`` only at Chebyshev points on
 panels of width at most 1/2 and sums each panel's series over the table.
 cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
 ``bessel_j_norm`` and ``dunkl_kernel_dx``.
+``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
 """
 
 import cmath
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv, spherical_jn
 
 from .errors import ParameterError, RangeError
 
@@ -32,6 +33,7 @@ __all__ = [
     "dunkl_kernel_dx",
     "lcdt_kernel",
     "principal_power",
+    "regularized_gamma",
 ]
 
 DET_TOL = 1e-12
@@ -102,6 +104,37 @@ def principal_power(z: complex, p: float) -> complex:
     return cmath.exp(p * cmath.log(z))
 
 
+def regularized_gamma(a: float, x: float):
+    """(P, Q) = (gamma(a, x), Gamma(a, x)) / Gamma(a) for a > 0, x >= 0, from math alone.
+
+    The series of DLMF 8.7.1 below x = a + 1, else the continued fraction of
+    DLMF 8.9.2 (modified Lentz); the smaller of P and Q keeps its relative accuracy.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    log_front = a * math.log(x) - x - math.lgamma(a)  # log of x^a e^(-x) / Gamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, 10000):
+            term *= x / (a + n)
+            total += term
+            if term < 1e-17 * total:
+                break
+        p = math.exp(log_front + math.log(total))
+        return p, 1.0 - p
+    b, c = x + 1.0 - a, math.inf
+    h = d = 1.0 / b
+    for n in range(1, 10000):
+        b += 2.0
+        d = 1.0 / (n * (a - n) * d + b or 1e-300)
+        c = b + n * (a - n) / c or 1e-300
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    q = math.exp(log_front + math.log(h))
+    return 1.0 - q, q
+
+
 # ---------------------------------------------------------------------------
 # normalized Bessel evaluation
 
@@ -146,6 +179,7 @@ def bessel_j_grid(nu: float, u) -> np.ndarray:
         out[series] = _series(nu, ua[series])
     rest = ~series
     if rest.any():
+        from scipy.special import jv, spherical_jn
         t = ua[rest]
         with np.errstate(over="ignore", invalid="ignore"):
             # Gamma(nu+1) (2/t)^nu as one exp: each factor alone overflows at large nu

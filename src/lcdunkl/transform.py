@@ -21,11 +21,10 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import AccuracyWarning, ParameterError
 from .quadrature import QuadratureRule, SampledFunction
-from .specfun import CanonicalMatrix, _bessel_j_tables, kval, matval, principal_power
+from .specfun import CanonicalMatrix, _bessel_j_tables, kval, matval, principal_power, regularized_gamma
 from .symfun import NodeProd, NodeSum, PolySum, QuotPow, SymExpr, evaluate, gaussian
 
 __all__ = [
@@ -224,7 +223,7 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
             return None
         # |term| <= |coeff| x^m e^{-a_eff x^2} (|j| <= 1); integrate the tail
         s = 0.5 * (t.m + 2.0 * k + 2.0)
-        g = float(gammaincc(s, a_eff * X * X)) * math.gamma(s) / a_eff**s
+        g = regularized_gamma(s, a_eff * X * X)[1] * math.gamma(s) / a_eff**s
         total += abs(t.coeff) * g / (2.0 ** (k + 1.0) * math.gamma(k + 1.0))
     return total
 

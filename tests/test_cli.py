@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lcdunkl
+from lcdunkl import transform
 from lcdunkl.cli import main
 
 
@@ -231,3 +236,51 @@ def test_verify_determinism_byte_identical(tmp_path):
     r1 = (out1 / "verify_report.json").read_bytes()
     r2 = (out2 / "verify_report.json").read_bytes()
     assert r1 == r2
+
+
+SPECTRAL_WHICH = ("delta", "poly", "compact", "vanishing")
+
+
+def _run_child(code, *args):
+    src = os.path.dirname(os.path.dirname(lcdunkl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    res = _run_child("import sys, lcdunkl.cli; print('scipy.special' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_spectral_estimates_run_without_scipy(tmp_path):
+    # the p = 2 estimators on a bump read its closed-form spectrum: no kernel table, no scipy
+    cfg = write_cfg(tmp_path, {"k": 2.02, "matrix": {"a": 1.0, "b": 0.936, "c": 0.0, "d": 1.0},
+                               "function": {"type": "bump", "intervals": [[0.95, 1.87]]}})
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from lcdunkl.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "sys.exit(max(main(['estimate', '--which', w, '--config', cfg, '--out', out + '/' + w])"
+            f" for w in {SPECTRAL_WHICH!r}))")
+    res = _run_child(code, cfg, str(tmp_path / "blocked"))
+    assert res.returncode == 0, res.stdout + res.stderr
+    for which in SPECTRAL_WHICH:
+        out = tmp_path / "free" / which
+        assert main(["estimate", "--which", which, "--config", cfg, "--out", str(out)]) == 0
+        for name in ("report.json", "sequence.csv"):
+            assert (tmp_path / "blocked" / which / name).read_bytes() == (out / name).read_bytes()
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_only_sigma_builds_a_kernel_table(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise TableBuilt
+
+    monkeypatch.setattr(transform, "_bessel_tables", refuse)
+    for which in SPECTRAL_WHICH:
+        assert main(["estimate", "--which", which, "--out", str(tmp_path / which)]) == 0
+    with pytest.raises(TableBuilt):
+        main(["estimate", "--which", "sigma", "--out", str(tmp_path / "sigma")])

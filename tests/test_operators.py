@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lcdunkl.corpus import bump_profile, bump_spectrum_values, gauss_profile, realize_bump
+from lcdunkl.corpus import bump_profile, bump_spectrum, bump_spectrum_values, gauss_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
 from lcdunkl.operators import (
     RealPolynomial,
@@ -348,3 +348,30 @@ def test_every_multiplier_path_is_its_closed_form(prof):
         ]
         for seq, (log_mult, phase) in sequences:
             assert np.array_equal(seq.lognorm, _multiplier_lognorms(g, log_mult, phase, p, 8, xr))
+
+
+def test_identity_power_does_not_warn():
+    # n = 0 is the input itself: the grid-edge AccuracyWarning (an error under tier-1) stays quiet
+    profb = bump_profile(K, ((1.0, 2.0),), b=1.0)
+    f, _ = realize_bump(K, M_SHEAR, ((1.0, 2.0),), profb)
+    P = RealPolynomial((0.0, 0.0, 0.25))
+    for out in (
+        apply_power_spectral(f, K, M_SHEAR, 0, lam_rule=profb.lam_rule),
+        apply_poly_op(f, K, M_SHEAR, P, 0, lam_rule=profb.lam_rule),
+        heat_semigroup(f, K, M_SHEAR, 0, lam_rule=profb.lam_rule),
+    ):
+        assert np.max(np.abs(out.values - f.values)) <= 1e-6 * np.max(np.abs(f.values))
+
+
+def test_spectrum_for_another_k_or_M_is_refused():
+    profb = bump_profile(K, ((1.0, 2.0),), b=1.0)
+    spec = bump_spectrum(K, M_SHEAR, ((1.0, 2.0),), profb)
+    xr = profb.x_rule
+    assert estimate_sigma(spec, K, M_SHEAR, n_max=30, x_rule=xr).sigma_hat == pytest.approx(2.0, rel=0.02)
+    for k, M in ((K, CanonicalMatrix(1.0, 2.0, 0.0, 1.0)), (3.0, CanonicalMatrix(1.0, 2.0, 0.0, 1.0)), (3.0, M_SHEAR)):
+        with pytest.raises(ParameterError, match="spectrum is for"):
+            estimate_sigma(spec, k, M, n_max=30, x_rule=xr)
+        with pytest.raises(ParameterError, match="spectrum is for"):
+            apply_power_spectral(spec, k, M, 1, x_rule=xr)
+        with pytest.raises(ParameterError, match="spectrum is for"):
+            heat_semigroup(spec, k, M, 1, mode="series", x_rule=xr)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -288,3 +289,20 @@ def test_principal_power_branch():
     # b < 0 goes through arg = -pi/2
     v = principal_power(-2j, 0.5)
     assert abs(v - math.sqrt(2.0) * cmath.exp(-0.25j * math.pi)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [-0.5, -0.2, 0.0, 0.5, 1.83, 2.02, 10.5, 61.0, 149.5, 150.0])
+def test_regularized_gamma_against_mpmath(k):
+    # P and Q of a = k + 1 at x = X^2 (the Dunkl-measure Gaussian mass), 1e-12 relative;
+    # where Q leaves the normal double range it is compared absolutely
+    a = k + 1.0
+    for X in np.geomspace(1e-3, 2000.0, 41):
+        x = float(X) ** 2
+        got = specfun.regularized_gamma(a, x)
+        with mp.workdps(40):
+            want = (mp.gammainc(a, 0, x, regularized=True), mp.gammainc(a, x, mp.inf, regularized=True))
+        for g, w in zip(got, map(float, want)):
+            if w < sys.float_info.min:
+                assert abs(g - w) <= 1e-300
+            else:
+                assert abs(g - w) <= 1e-12 * w, (k, X, g, w)
