@@ -317,8 +317,7 @@ def heat_series_terms_required(q: float) -> int:
     raise ComputationError("heat series failed to certify a truncation")
 
 
-def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int | None = None,
-                   lam_rule=None, x_rule=None) -> SampledFunction:
+def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", lam_rule=None, x_rule=None) -> SampledFunction:
     """Heat flow at integer time n: spectral multiplier exp(-n lam^2/b^2).
 
     Series mode sums the certified truncation of sum_m n^m Delta^m f / m!
@@ -338,14 +337,7 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", series_terms: int 
             f"series mode needs n*(lam_max/b)^2 <= {SERIES_Q_MAX} to keep float64 "
             f"cancellation below tolerance; got {q:.2f} (shrink the frequency rule or n)"
         )
-    required = heat_series_terms_required(q)
-    if series_terms is None:
-        series_terms = required
-    elif series_terms < required:
-        raise ParameterError(
-            f"series truncation {series_terms} misses the certified tail bound; "
-            f"at least {required} terms are required for this grid and n"
-        )
+    series_terms = heat_series_terms_required(q)
     coeffs = np.cumprod([1.0] + [n / m for m in range(1, series_terms + 1)])
     laplacian_powers = np.power.outer(-mu2, np.arange(series_terms + 1)) * g.values[:, None]
     terms = _lcdt_apply(kk, mm.inverse(), xr, g.rule, laplacian_powers)

@@ -3,7 +3,12 @@
 The W^s norm weighs the transform by (1+lam^2)^(s/2); its operator-sum
 counterpart adds squared norms of operator powers. Both are equivalent
 rather than equal: the toolkit reports measured ratios instead of
-pretending the constants away.
+pretending the constants away. The operator-sum norm reads its terms off
+the p = 2 norm sequence of `operators._sequence`.
+
+Spectral differentiation samples its input through `transform._sampled`,
+as lcdt_forward does: the same tail-bound warnings, and the same refusal
+of rules built for another k.
 """
 
 import math
@@ -11,11 +16,11 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .operators import spectrum_of
+from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
 from .specfun import dunkl_kernel_dx, kval, matval
 from .symfun import PolySum, SymExpr, Term, differentiate, evaluate, iterate_op
-from .transform import dunkl_values_at
+from .transform import _sampled, dunkl_values_at
 
 __all__ = [
     "sobolev_norm",
@@ -52,18 +57,8 @@ def sobolev_opsum_norm(f, k, M, m: int, lam_rule=None, x_rule=None) -> float:
     """sqrt of the sum over n <= m of squared L^2 operator-power norms."""
     if m < 0 or m > MAX_OPSUM_ORDER:
         raise ParameterError(f"operator-sum order must lie in [0, {MAX_OPSUM_ORDER}]")
-    kk = kval(k)
-    mm = matval(M)
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=x_rule)
-    mu2 = (g.rule.nodes / mm.b) ** 2
-    dens = g.rule.weights * np.abs(g.values) ** 2
-    total = 0.0
-    mult = np.ones_like(mu2)
-    for n in range(m + 1):
-        if n:
-            mult = mult * mu2
-        total += float(np.sum(dens * mult))
-    return math.sqrt(total)
+    _, seq = _sequence(f, k, M, 2.0, max(m, 1), lam_rule, x_rule, _mult_i)
+    return math.sqrt(float(np.sum(np.exp(2.0 * seq.lognorm[: m + 1]))))
 
 
 def seminorm_S(phi: SymExpr, n: int, m: int, x_rule: QuadratureRule) -> float:
@@ -115,14 +110,7 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
         raise ParameterError(f"spectral derivative order must lie in [0, {MAX_SPECTRAL_DERIVATIVE}]")
     kk = kval(k)
     mm = matval(M)
-    if isinstance(f, SymExpr):
-        if x_rule is None:
-            raise ParameterError("symbolic input requires an explicit x_rule")
-        fs = SampledFunction(x_rule, evaluate(f, x_rule.nodes))
-    elif isinstance(f, SampledFunction):
-        fs = f
-    else:
-        raise ParameterError(f"unsupported input type {type(f).__name__}")
+    fs, _ = _sampled(f, kk, lam_rule, x_rule)
     mu = lam_rule.nodes / mm.b
     gvals = dunkl_values_at(fs, kk, mu)
     out_rule = x_grid if isinstance(x_grid, QuadratureRule) else None

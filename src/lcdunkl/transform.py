@@ -13,6 +13,12 @@ of a grid pair (the other one reads the transposed view), and the cache
 holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.
 _core_folded returns the even and odd sums on unique|freq| (p != 2 norm
 sequences read their norms off these), and _core_apply unfolds them.
+
+Every route that takes function input (lcdt_forward,
+chirp_factorized_forward, sobolev.derivative_via_spectrum) gets its
+samples from _sampled: it samples a SymExpr on the x rule and raises the
+tail-bound AccuracyWarnings, passes a SampledFunction through, and
+refuses rules built for another Dunkl parameter k.
 """
 
 import json
@@ -176,32 +182,39 @@ def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.nda
     return out.reshape(freqs.shape + fvals.shape[1:])
 
 
-def _as_sampled(f, x_rule, k):
+def _sampled(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | None):
+    """f sampled (a SymExpr on x_rule) and its tail-bound warnings, already raised; refuses rules for another k."""
+    warns = []
     if isinstance(f, SampledFunction):
-        return f, ()
-    if isinstance(f, SymExpr):
+        fs = f
+    elif isinstance(f, SymExpr):
         if x_rule is None:
             raise ParameterError("symbolic input requires an explicit x_rule")
-        vals = evaluate(f, x_rule.nodes)
-        warns = []
+        fs = SampledFunction(x_rule, evaluate(f, x_rule.nodes))
         tail = tail_mass_estimate(f, x_rule)
         if tail is None:
             warns.append("tail mass of symbolic input could not be bounded analytically")
         else:
-            scale = float(np.sum(x_rule.weights * np.abs(vals))) + 1e-300
+            scale = float(np.sum(x_rule.weights * np.abs(fs.values))) + 1e-300
             if tail > TAIL_TOL * max(scale, 1e-12):
                 warns.append(
                     f"estimated tail mass {tail:.3e} beyond X={x_rule.X} exceeds {TAIL_TOL} of scale"
                 )
-        return SampledFunction(x_rule, vals), tuple(warns)
-    raise ParameterError(f"unsupported input type {type(f).__name__}")
+    else:
+        raise ParameterError(f"unsupported input type {type(f).__name__}")
+    if fs.rule.k != k or lam_rule.k != k:
+        raise ParameterError("rules were built for a different Dunkl parameter")
+    for w in warns:
+        _warnings.warn(w, AccuracyWarning)
+    return fs, tuple(warns)
 
 
 def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
     """Upper bound on the L1 Dunkl-measure mass of e outside [-X, X].
 
     Returns None when the expression class admits no simple closed-form
-    bound (quotient or product nodes).
+    bound (quotient or product nodes), and inf when the bound passes the
+    double range. The bound is formed in log space.
     """
     if isinstance(e, NodeSum):
         parts = [tail_mass_estimate(ch, rule) for ch in e.children]
@@ -223,8 +236,14 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
             return None
         # |term| <= |coeff| x^m e^{-a_eff x^2} (|j| <= 1); integrate the tail
         s = 0.5 * (t.m + 2.0 * k + 2.0)
-        g = regularized_gamma(s, a_eff * X * X)[1] * math.gamma(s) / a_eff**s
-        total += abs(t.coeff) * g / (2.0 ** (k + 1.0) * math.gamma(k + 1.0))
+        q = regularized_gamma(s, a_eff * X * X)[1]
+        if q > 0.0:
+            log_g = math.log(q) + math.lgamma(s) - s * math.log(a_eff)
+            log_g -= (k + 1.0) * math.log(2.0) + math.lgamma(k + 1.0)
+            try:
+                total += abs(t.coeff) * math.exp(log_g)
+            except OverflowError:
+                return math.inf
     return total
 
 
@@ -250,12 +269,8 @@ def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | Non
     """
     kk = kval(k)
     mm = matval(M)
-    fs, warns = _as_sampled(f, x_rule, kk)
-    if fs.rule.k != kk or lam_rule.k != kk:
-        raise ParameterError("rules were built for a different Dunkl parameter")
+    fs, warns = _sampled(f, kk, lam_rule, x_rule)
     values = _lcdt_apply(kk, mm, lam_rule, fs.rule, fs.values)
-    for w in warns:
-        _warnings.warn(w, AccuracyWarning)
     return Spectrum(rule=lam_rule, values=values, k=kk, M=mm, label=getattr(f, "label", ""), warnings=warns)
 
 
@@ -286,11 +301,9 @@ def chirp_factorized_forward(f: SymExpr, k, M, lam_rule: QuadratureRule, x_rule:
     kk = kval(k)
     mm = matval(M)
     chirped = gaussian(0.5j * (mm.a / mm.b)) * f
-    fs, warns = _as_sampled(chirped, x_rule, kk)
+    fs, warns = _sampled(chirped, kk, lam_rule, x_rule)
     lam = lam_rule.nodes
     dvals = _core_apply(kk, lam / mm.b, fs.rule, fs.values, 1.0)
     pref = principal_power(1j * mm.b, -(kk + 1.0))
     values = pref * np.exp(0.5j * (mm.d / mm.b) * lam * lam) * dvals
-    for w in warns:
-        _warnings.warn(w, AccuracyWarning)
     return Spectrum(rule=lam_rule, values=values, k=kk, M=mm, label=getattr(f, "label", ""), warnings=warns)

@@ -9,6 +9,7 @@ import pytest
 import lcdunkl
 from lcdunkl import transform
 from lcdunkl.cli import main
+from lcdunkl.errors import AccuracyWarning
 
 
 def write_cfg(tmp_path, cfg):
@@ -34,6 +35,18 @@ def test_transform_gaussian_symmetric_csv(tmp_path):
     meta = json.loads((out / "spectrum.json").read_text())
     assert meta["config"]["k"] == 0.0
     assert meta["matrix"]["b"] == 1.0
+
+
+def test_transform_reports_a_tail_bound_beyond_gamma_range(tmp_path):
+    # Gamma(s) of the tail bound leaves double range at s = 181 (k = 150, x^60)
+    expr = {"type": "sum_of_terms", "terms": [{"coeff": [1.0, 0.0], "m": 60, "alpha": [-0.5, 0.0]}]}
+    cfg = write_cfg(tmp_path, {"k": 150, "function": {"type": "symexpr", "expr": expr},
+                               "grid": {"x_radius": 8.0, "lambda_radius": 8.0}})
+    out = tmp_path / "run"
+    with pytest.warns(AccuracyWarning, match="estimated tail mass"):
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+    warns = json.loads((out / "spectrum.json").read_text())["warnings"]
+    assert len(warns) == 1 and warns[0].startswith("estimated tail mass")
 
 
 def test_transform_zero_function(tmp_path):

@@ -202,6 +202,19 @@ def test_vanishing_interval(pipe12):
     assert estz.r_hat == math.inf
 
 
+def test_gap_estimators_share_one_estimate():
+    # a spectrum on (-1, 0.1) has no gap, so the fitted heat limit lands
+    # below 0: both names judge convergence on that one fitted limit
+    k, interval = 2.0, (-1.0, 0.1)
+    prof = bump_profile(k, (interval,), b=1.0)
+    spec = Spectrum(prof.lam_rule, bump_spectrum_values(prof.lam_rule.nodes, (interval,)), k, M_SHEAR)
+    d = estimate_delta(spec, k, M_SHEAR, p=1.0, n_max=6, x_rule=prof.x_rule)
+    r = vanishing_interval_detect(spec, k, M_SHEAR, p=1.0, n_max=6, x_rule=prof.x_rule)
+    assert (d.converged, d.diagnostics) == (r.converged, r.diagnostics)
+    assert set(d.diagnostics) == {"limit_value", "last_value", "fit_rms"}
+    assert r.r_hat == math.sqrt(d.delta_hat)
+
+
 def test_p_independence_of_root_estimates(pipe12):
     prof, f, _ = pipe12
     ests = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcdunkl.corpus import gauss_profile, symbolic_members
+from lcdunkl.errors import AccuracyWarning, ParameterError
 from lcdunkl.quadrature import SampledFunction, lp_norm
 from lcdunkl.sobolev import (
     derivative_via_spectrum,
@@ -15,6 +16,7 @@ from lcdunkl.sobolev import (
 )
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import differentiate, evaluate, gaussian
+from lcdunkl.transform import lcdt_forward
 
 M_SHEAR = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
 M_ROT = CanonicalMatrix.rotation(math.pi / 3)
@@ -123,6 +125,23 @@ def test_derivative_via_spectrum_matches_symbolic(prof, n):
         e = differentiate(e)
     want = evaluate(e, xs)
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_derivative_via_spectrum_refuses_rules_for_another_k():
+    prof = gauss_profile(0.5)
+    xs = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(ParameterError, match="different Dunkl parameter"):
+        derivative_via_spectrum(gaussian(-0.5), 1.0, M_SHEAR, 1, xs, prof.lam_rule, x_rule=prof.x_rule)
+
+
+def test_derivative_via_spectrum_warns_as_the_forward_transform(prof):
+    # e^(x - 0.01 x^2) grows past X = 10, so the tail has no closed-form bound
+    f = gaussian(-0.01, beta=1.0)
+    xs = np.linspace(-3.0, 3.0, 61)
+    with pytest.warns(AccuracyWarning, match="could not be bounded"):
+        lcdt_forward(f, K, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
+    with pytest.warns(AccuracyWarning, match="could not be bounded"):
+        derivative_via_spectrum(f, K, M_SHEAR, 1, xs, prof.lam_rule, x_rule=prof.x_rule)
 
 
 def test_derivative_bounded_by_sobolev(prof):

@@ -10,7 +10,7 @@ from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
 from lcdunkl.errors import ParameterError
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
 from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_grid, principal_power
-from lcdunkl.symfun import evaluate, gaussian, iterate_op
+from lcdunkl.symfun import PolySum, Term, evaluate, gaussian, iterate_op
 from lcdunkl.transform import (
     Spectrum,
     chirp_factorized_forward,
@@ -18,6 +18,7 @@ from lcdunkl.transform import (
     dunkl_values_at,
     lcdt_forward,
     lcdt_inverse,
+    tail_mass_estimate,
 )
 
 M_FOURIER = CanonicalMatrix(0.0, 1.0, -1.0, 0.0)
@@ -197,6 +198,24 @@ def test_mismatched_rule_parameter_rejected():
     f = SampledFunction(x_rule, np.exp(-x_rule.nodes**2))
     with pytest.raises(ParameterError):
         lcdt_forward(f, 0.5, M_SHEAR, lam_rule)
+    prof = gauss_profile(0.5)
+    with pytest.raises(ParameterError, match="different Dunkl parameter"):
+        chirp_factorized_forward(gaussian(-0.5), 1.0, M_SHEAR, prof.lam_rule, prof.x_rule)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 20.0])
+def test_tail_mass_matches_the_gamma_formula(k):
+    # the log-space bound against the direct Gamma(s) / a^s form where Gamma(s) is finite
+    rule, _ = rules(k)
+    terms = [(1.0, 0, 0.5, 0.0), (2.5, 3, 0.1, 0.4), (0.7, 8, 0.05, -0.2)]
+    got = tail_mass_estimate(PolySum([Term(c, m=m, alpha=-a, beta=br) for c, m, a, br in terms]), rule)
+    want = 0.0
+    for c, m, a, br in terms:
+        a_eff = a - abs(br) / rule.X
+        s = 0.5 * (m + 2.0 * k + 2.0)
+        g = specfun.regularized_gamma(s, a_eff * rule.X**2)[1] * math.gamma(s) / a_eff**s
+        want += c * g / (2.0 ** (k + 1.0) * math.gamma(k + 1.0))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_spectrum_csv_and_metadata():
