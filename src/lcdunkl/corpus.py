@@ -20,7 +20,7 @@ import numpy as np
 from .errors import RangeError
 from .quadrature import QuadratureRule, build_rule, build_rule_from_edges
 from .specfun import U_MAX, CanonicalMatrix, kval, matval
-from .symfun import PolySum, gaussian
+from .symfun import SymExpr, gaussian
 from .transform import Spectrum, lcdt_inverse
 
 __all__ = [
@@ -133,7 +133,7 @@ def realize_bump(k, M, intervals, profile: GridProfile, label="bump"):
 @dataclass(frozen=True)
 class SymbolicMember:
     name: str
-    expr: PolySum
+    expr: SymExpr
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def _gap(f, k, M, p, n_max, lam_rule, x_rule) -> Estimate:
     d = -seq.lognorm[1:] / ns
     coef, rms = _tail_fit(ns, d, _HEAT_WINDOW, lambda n: [np.ones_like(n), n**-0.5, np.log(n) / n, 1.0 / n])
     lim, last = float(coef[0]), float(d[-1])
-    scale = max(abs(lim), 1.0)
+    scale = max(lim, 1.0)  # a negative limit (no gap) gets no wider tolerance
     converged = abs(lim - last) < CONVERGED_REL_CHANGE * scale or rms < 2e-3 * scale
     return Estimate({"delta_hat": max(0.0, lim)}, n_max, seq, converged,
                     {"limit_value": lim, "last_value": last, "fit_rms": rms})

@@ -19,7 +19,7 @@ from .errors import ParameterError
 from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
 from .specfun import dunkl_kernel_dx, kval, matval
-from .symfun import PolySum, SymExpr, Term, differentiate, evaluate, iterate_op
+from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
 from .transform import _sampled, dunkl_values_at
 
 __all__ = [
@@ -76,7 +76,7 @@ def seminorm_R(phi: SymExpr, p: int, q: int, x_rule: QuadratureRule) -> float:
     """sup over the grid of |d^p/dx^p ((1+x^2)^q phi)|."""
     if p < 0 or q < 0:
         raise ParameterError("seminorm indices must be >= 0")
-    poly = PolySum([Term(math.comb(q, j), m=2 * j) for j in range(q + 1)])
+    poly = SymExpr([Term(math.comb(q, j), m=2 * j) for j in range(q + 1)])
     e = poly * phi
     for _ in range(p):
         e = differentiate(e)

@@ -1,12 +1,15 @@
 """Exact symbolic test functions for the operator calculus.
 
-The working class is finite sums of coeff * x^m * exp(alpha x^2 + beta x)
-* j_kappa(c x), closed under differentiation, reflection, multiplication
-by x, and the Dunkl and linear canonical Dunkl operators. The reflection
-part of the Dunkl operator, (f(x) - f(-x))/x, is computed termwise when
-every beta vanishes (the parity split is then exact, with no division at
-all); otherwise it becomes an explicit quotient node whose value near 0
-comes from the Taylor limit rather than a cancelling division.
+Every expression has one normal form, SymExpr: a merged sum of terms
+coeff * x^m * exp(alpha x^2 + beta x) * j_kappa(c x) (the numerator) over
+one power x^j, j >= 0. The class is closed under sums (common denominator),
+products (the powers add), differentiation (c/x^j -> (x c' - j c)/x^(j+1)),
+reflection, multiplication by x, and the Dunkl and linear canonical Dunkl
+operators. The reflection part of the Dunkl operator, (f(x) - f(-x))/x, is
+computed termwise when j = 0 and every beta vanishes (the parity split is
+then exact, with no division at all); otherwise it raises j by one, and the
+value near 0 comes from the numerator's Taylor series rather than a
+cancelling division.
 """
 
 import json
@@ -18,10 +21,6 @@ from .specfun import bessel_j_grid, kval, matval
 
 __all__ = [
     "SymExpr",
-    "PolySum",
-    "QuotPow",
-    "NodeSum",
-    "NodeProd",
     "Term",
     "constant",
     "monomial",
@@ -46,6 +45,7 @@ TAYLOR_SWITCH = 0.05
 TAYLOR_EXTRA = 10
 MAX_ITERATE = 60
 TERM_BUDGET = 500_000
+VANISH_RTOL = 1e-9  # a quotpow child's Taylor coefficients below j, relative to the largest
 
 
 class Term:
@@ -78,9 +78,22 @@ class Term:
     def scaled(self, s):
         return Term(self.coeff * s, self.m, self.alpha, self.beta, self.kappa, self.c)
 
-    def reflected(self):
-        sign = -1.0 if self.m % 2 else 1.0
+    def reflected(self, j=0):
+        """This term at -x, over (-x)^j when it is the numerator of c / x^j."""
+        sign = -1.0 if (self.m + j) % 2 else 1.0
         return Term(self.coeff * sign, self.m, self.alpha, -self.beta, self.kappa, self.c)
+
+    def series(self, n):
+        """The first n Taylor coefficients at 0 of exp(alpha x^2 + beta x) * [j_kappa(c x)]."""
+        r = np.arange(1, n)
+        q = r[: (n - 1) // 2]
+        out = np.cumprod(np.concatenate([[1.0 + 0j], self.beta / r]))
+        ratios = [self.alpha / q] + ([] if self.kappa is None else [-0.25 * self.c**2 / (q * (self.kappa + q))])
+        for ratio in ratios:
+            even = np.zeros(n, dtype=np.complex128)  # a series in x^2, from its successive coefficient ratios
+            even[::2] = np.cumprod(np.concatenate([[1.0 + 0j], ratio]))
+            out = np.convolve(out, even)[:n]
+        return out
 
     def diff_terms(self):
         out = []
@@ -105,49 +118,16 @@ class Term:
 
 
 class SymExpr:
-    """Base expression node."""
+    """numerator / x^j: a sum of Terms, merged by basis key, over one power x^j (j >= 0).
 
-    def evaluate_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    Every constructor keeps the numerator vanishing to order j at 0, so the
+    quotient extends continuously; for |x| < TAYLOR_SWITCH its value is the
+    numerator's Taylor series from index j instead of a cancelling division.
+    """
 
-    def diff(self) -> "SymExpr":
-        raise NotImplementedError
+    __slots__ = ("terms", "j", "_taylor")
 
-    def reflected(self) -> "SymExpr":
-        raise NotImplementedError
-
-    def scaled(self, s) -> "SymExpr":
-        raise NotImplementedError
-
-    def mul_x(self) -> "SymExpr":
-        raise NotImplementedError
-
-    def size(self) -> int:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return NodeSum.of(self, other)
-
-    def __sub__(self, other):
-        return NodeSum.of(self, other.scaled(-1.0))
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, SymExpr):
-            return NodeProd.of(self, other)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-
-class PolySum(SymExpr):
-    """Canonical sum of Terms, merged by basis key."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
+    def __init__(self, terms=(), j=0):
         merged: dict = {}
         for t in terms:
             key = t.key()
@@ -162,8 +142,10 @@ class PolySum(SymExpr):
         else:
             kept = ()
         self.terms = kept
+        self.j = int(j)
+        self._taylor = None
 
-    def evaluate_array(self, x):
+    def _numerator_at(self, x):
         out = np.zeros(x.shape, dtype=np.complex128)
         bessel_cache: dict = {}
         for t in self.terms:
@@ -180,65 +162,26 @@ class PolySum(SymExpr):
             out += v
         return out
 
-    def diff(self):
-        out = []
-        for t in self.terms:
-            out.extend(t.diff_terms())
-        return PolySum(out)
-
-    def reflected(self):
-        return PolySum([t.reflected() for t in self.terms])
-
-    def scaled(self, s):
-        return PolySum([t.scaled(s) for t in self.terms])
-
-    def mul_x(self):
-        return PolySum([Term(t.coeff, t.m + 1, t.alpha, t.beta, t.kappa, t.c) for t in self.terms])
-
-    def beta_free(self):
-        return all(t.beta == 0 for t in self.terms)
-
-    def size(self):
-        return len(self.terms)
-
-
-class QuotPow(SymExpr):
-    """child(x) / x^j with the value near 0 taken as the Taylor limit.
-
-    Constructors only build these for children vanishing to order j at 0,
-    so the quotient extends continuously.
-    """
-
-    __slots__ = ("child", "j", "_taylor")
-
-    def __init__(self, child, j):
-        if j < 1:
-            raise ParameterError("quotient power must be >= 1")
-        self.child = child
-        self.j = int(j)
-        self._taylor = None
-
     def _taylor_coeffs(self):
+        """Taylor coefficients of the numerator at 0, indices 0 .. j + TAYLOR_EXTRA."""
         if self._taylor is None:
-            coeffs = []
-            e = self.child
-            fact = 1.0
-            zero = np.zeros(1)
-            for i in range(self.j + TAYLOR_EXTRA + 1):
-                if i:
-                    fact *= i
-                coeffs.append(complex(e.evaluate_array(zero)[0]) / fact)
-                e = e.diff()
-            self._taylor = coeffs
+            n = self.j + TAYLOR_EXTRA + 1
+            out = np.zeros(n, dtype=np.complex128)
+            for t in self.terms:
+                if t.m < n:
+                    out[t.m:] += t.coeff * t.series(n - t.m)
+            self._taylor = out
         return self._taylor
 
     def evaluate_array(self, x):
+        if not self.j:
+            return self._numerator_at(x)
         out = np.empty(x.shape, dtype=np.complex128)
         near = np.abs(x) < TAYLOR_SWITCH
         far = ~near
         if far.any():
             xf = x[far]
-            out[far] = self.child.evaluate_array(xf) / xf**self.j
+            out[far] = self._numerator_at(xf) / xf**self.j
         if near.any():
             xn = x[near]
             acc = np.zeros(xn.shape, dtype=np.complex128)
@@ -248,71 +191,44 @@ class QuotPow(SymExpr):
             out[near] = acc
         return out
 
-    def diff(self):
-        return NodeSum.of(QuotPow(self.child.diff(), self.j), QuotPow(self.child.scaled(-self.j), self.j + 1))
-
-    def reflected(self):
-        sign = -1.0 if self.j % 2 else 1.0
-        return QuotPow(self.child.reflected().scaled(sign), self.j)
-
-    def scaled(self, s):
-        return QuotPow(self.child.scaled(s), self.j)
-
-    def mul_x(self):
-        if self.j == 1:
-            return self.child
-        return QuotPow(self.child, self.j - 1)
-
-    def size(self):
-        return self.child.size() + 1
-
-
-class NodeSum(SymExpr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        flat = []
-        poly = []
-        for ch in children:
-            if isinstance(ch, NodeSum):
-                for sub in ch.children:
-                    (poly if isinstance(sub, PolySum) else flat).append(sub)
-            elif isinstance(ch, PolySum):
-                poly.append(ch)
-            else:
-                flat.append(ch)
-        if poly:
-            merged = PolySum([t for p in poly for t in p.terms])
-            flat.insert(0, merged)
-        self.children = tuple(flat)
-
-    @staticmethod
-    def of(*children):
-        node = NodeSum(children)
-        if len(node.children) == 1:
-            return node.children[0]
-        return node
-
-    def evaluate_array(self, x):
-        out = np.zeros(x.shape, dtype=np.complex128)
-        for ch in self.children:
-            out += ch.evaluate_array(x)
-        return out
+    def _raised(self, r):
+        """The numerator times x^r."""
+        return [Term(t.coeff, t.m + r, t.alpha, t.beta, t.kappa, t.c) for t in self.terms] if r else list(self.terms)
 
     def diff(self):
-        return NodeSum.of(*[ch.diff() for ch in self.children])
+        """(x c' - j c) / x^(j+1) for c / x^j."""
+        out = [d for t in self.terms for d in t.diff_terms()]
+        if not self.j:
+            return SymExpr(out)
+        return SymExpr(SymExpr(out)._raised(1) + [t.scaled(-self.j) for t in self.terms], self.j + 1)
 
     def reflected(self):
-        return NodeSum.of(*[ch.reflected() for ch in self.children])
+        return SymExpr([t.reflected(self.j) for t in self.terms], self.j)
 
     def scaled(self, s):
-        return NodeSum.of(*[ch.scaled(s) for ch in self.children])
+        return SymExpr([t.scaled(s) for t in self.terms], self.j)
 
     def mul_x(self):
-        return NodeSum.of(*[ch.mul_x() for ch in self.children])
+        if self.j:
+            return SymExpr(self.terms, self.j - 1)
+        return SymExpr(self._raised(1))
 
-    def size(self):
-        return sum(ch.size() for ch in self.children)
+    def __add__(self, other):
+        j = max(self.j, other.j)
+        return SymExpr(self._raised(j - self.j) + other._raised(j - other.j), j)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def __neg__(self):
+        return self.scaled(-1.0)
+
+    def __mul__(self, other):
+        if isinstance(other, SymExpr):
+            return SymExpr([_mul_terms(a, b) for a in self.terms for b in other.terms], self.j + other.j)
+        return self.scaled(other)
+
+    __rmul__ = __mul__
 
 
 def _mul_terms(a: Term, b: Term) -> Term:
@@ -322,68 +238,31 @@ def _mul_terms(a: Term, b: Term) -> Term:
     return Term(a.coeff * b.coeff, a.m + b.m, a.alpha + b.alpha, a.beta + b.beta, kappa, c)
 
 
-class NodeProd(SymExpr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    @staticmethod
-    def of(a, b):
-        if isinstance(a, PolySum) and isinstance(b, PolySum):
-            return PolySum([_mul_terms(ta, tb) for ta in a.terms for tb in b.terms])
-        return NodeProd([a, b])
-
-    def evaluate_array(self, x):
-        out = np.ones(x.shape, dtype=np.complex128)
-        for ch in self.children:
-            out *= ch.evaluate_array(x)
-        return out
-
-    def diff(self):
-        a, b = self.children
-        return NodeSum.of(NodeProd.of(a.diff(), b), NodeProd.of(a, b.diff()))
-
-    def reflected(self):
-        return NodeProd([ch.reflected() for ch in self.children])
-
-    def scaled(self, s):
-        a, b = self.children
-        return NodeProd([a.scaled(s), b])
-
-    def mul_x(self):
-        a, b = self.children
-        return NodeProd([a.mul_x(), b])
-
-    def size(self):
-        return sum(ch.size() for ch in self.children)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
-def constant(c) -> PolySum:
-    return PolySum([Term(c)])
+def constant(c) -> SymExpr:
+    return SymExpr([Term(c)])
 
 
-def monomial(m: int, coeff=1.0) -> PolySum:
-    return PolySum([Term(coeff, m=m)])
+def monomial(m: int, coeff=1.0) -> SymExpr:
+    return SymExpr([Term(coeff, m=m)])
 
 
-def gaussian(alpha, beta=0j, coeff=1.0, m=0) -> PolySum:
+def gaussian(alpha, beta=0j, coeff=1.0, m=0) -> SymExpr:
     """coeff * x^m * exp(alpha x^2 + beta x)."""
-    return PolySum([Term(coeff, m=m, alpha=alpha, beta=beta)])
+    return SymExpr([Term(coeff, m=m, alpha=alpha, beta=beta)])
 
 
-def bessel_factor(kappa: float, c: float, coeff=1.0, m=0, alpha=0j) -> PolySum:
+def bessel_factor(kappa: float, c: float, coeff=1.0, m=0, alpha=0j) -> SymExpr:
     """coeff * x^m * exp(alpha x^2) * j_kappa(c x)."""
-    return PolySum([Term(coeff, m=m, alpha=alpha, kappa=kappa, c=c)])
+    return SymExpr([Term(coeff, m=m, alpha=alpha, kappa=kappa, c=c)])
 
 
-def dunkl_kernel_expr(k, lam: float) -> PolySum:
-    """E_k(i lam, .) as an exact tree in x."""
+def dunkl_kernel_expr(k, lam: float) -> SymExpr:
+    """E_k(i lam, .) as an exact expression in x."""
     kk = kval(k)
-    return PolySum(
+    return SymExpr(
         [
             Term(1.0, kappa=kk, c=lam),
             Term(1j * lam / (2.0 * (kk + 1.0)), m=1, kappa=kk + 1.0, c=lam),
@@ -391,14 +270,14 @@ def dunkl_kernel_expr(k, lam: float) -> PolySum:
     )
 
 
-def lcdt_kernel_expr(k, M, lam: float) -> PolySum:
-    """E^M_k(lam, .) as an exact tree in x (lam fixed)."""
+def lcdt_kernel_expr(k, M, lam: float) -> SymExpr:
+    """E^M_k(lam, .) as an exact expression in x (lam fixed)."""
     kk = kval(k)
     mm = matval(M)
     lam_chirp = complex(np.exp(0.5j * (mm.d / mm.b) * lam * lam))
     alpha = 0.5j * (mm.a / mm.b)
     base = dunkl_kernel_expr(kk, -lam / mm.b)
-    return PolySum(
+    return SymExpr(
         [Term(t.coeff * lam_chirp, t.m, t.alpha + alpha, t.beta, t.kappa, t.c) for t in base.terms]
     )
 
@@ -430,15 +309,15 @@ def mul_x(e: SymExpr) -> SymExpr:
 
 def odd_quotient(e: SymExpr) -> SymExpr:
     """(e(x) - e(-x)) / x with the x = 0 value equal to 2 e'(0)."""
-    if isinstance(e, PolySum) and e.beta_free():
+    if not e.j and all(t.beta == 0 for t in e.terms):
         # parity split: even-degree terms cancel exactly, odd ones halve a power
         out = [
             Term(2.0 * t.coeff, t.m - 1, t.alpha, t.beta, t.kappa, t.c)
             for t in e.terms
             if t.m % 2 == 1
         ]
-        return PolySum(out)
-    return QuotPow(NodeSum.of(e, e.reflected().scaled(-1.0)), 1)
+        return SymExpr(out)
+    return SymExpr((e - e.reflected()).terms, e.j + 1)
 
 
 def apply_dunkl(k, e: SymExpr) -> SymExpr:
@@ -448,13 +327,13 @@ def apply_dunkl(k, e: SymExpr) -> SymExpr:
     coeff = 0.5 * (2.0 * kk + 1.0)
     if coeff == 0.0:
         return de
-    return NodeSum.of(de, odd_quotient(e).scaled(coeff))
+    return de + odd_quotient(e).scaled(coeff)
 
 
 def apply_lcd(k, M, e: SymExpr) -> SymExpr:
     """Linear canonical Dunkl operator for matrix M: Dunkl part minus i(d/b) x e."""
     mm = matval(M)
-    return NodeSum.of(apply_dunkl(k, e), e.mul_x().scaled(-1j * mm.d / mm.b))
+    return apply_dunkl(k, e) + e.mul_x().scaled(-1j * mm.d / mm.b)
 
 
 def iterate_op(k, M, e: SymExpr, n: int) -> SymExpr:
@@ -468,9 +347,9 @@ def iterate_op(k, M, e: SymExpr, n: int) -> SymExpr:
     out = e
     for i in range(n):
         out = apply_lcd(kk, mm, out)
-        if out.size() > TERM_BUDGET:
+        if len(out.terms) > TERM_BUDGET:
             raise ResourceBudgetError(
-                f"expression grew to {out.size()} terms after {i + 1} applications "
+                f"expression grew to {len(out.terms)} terms after {i + 1} applications "
                 f"(budget {TERM_BUDGET}); input is outside the closed class"
             )
     return out
@@ -488,24 +367,19 @@ def _j2c(v) -> complex:
 
 
 def expr_to_json(e: SymExpr) -> dict:
-    if isinstance(e, PolySum):
-        terms = []
-        for t in e.terms:
-            entry = {"coeff": _c2j(t.coeff), "m": t.m, "alpha": _c2j(t.alpha), "beta": _c2j(t.beta)}
-            if t.kappa is not None:
-                entry["bessel"] = {"kappa": t.kappa, "c": t.c}
-            terms.append(entry)
-        return {"type": "sum_of_terms", "terms": terms}
-    if isinstance(e, QuotPow):
-        return {"type": "quotpow", "j": e.j, "child": expr_to_json(e.child)}
-    if isinstance(e, NodeSum):
-        return {"type": "sum", "children": [expr_to_json(ch) for ch in e.children]}
-    if isinstance(e, NodeProd):
-        return {"type": "product", "children": [expr_to_json(ch) for ch in e.children]}
-    raise ParameterError(f"cannot serialize {type(e).__name__}")
+    """A sum_of_terms node when j = 0, else one quotpow node over it."""
+    terms = []
+    for t in e.terms:
+        entry = {"coeff": _c2j(t.coeff), "m": t.m, "alpha": _c2j(t.alpha), "beta": _c2j(t.beta)}
+        if t.kappa is not None:
+            entry["bessel"] = {"kappa": t.kappa, "c": t.c}
+        terms.append(entry)
+    node = {"type": "sum_of_terms", "terms": terms}
+    return {"type": "quotpow", "j": e.j, "child": node} if e.j else node
 
 
 def expr_from_json(payload) -> SymExpr:
+    """Reads sum_of_terms, sum, product and quotpow nodes; a quotpow child must vanish to order j at 0."""
     if isinstance(payload, str):
         payload = json.loads(payload)
     if not isinstance(payload, dict):
@@ -525,15 +399,21 @@ def expr_from_json(payload) -> SymExpr:
                     None if bes is None else bes["c"],
                 )
             )
-        return PolySum(terms)
+        return SymExpr(terms)
     if kind == "quotpow":
-        return QuotPow(expr_from_json(payload["child"]), payload["j"])
-    if kind == "sum":
-        return NodeSum.of(*[expr_from_json(ch) for ch in payload["children"]])
-    if kind == "product":
+        j = payload["j"]
+        if j != int(j) or j < 1:
+            raise ParameterError(f"quotient power must be an integer >= 1, got {j!r}")
+        child = expr_from_json(payload["child"])
+        out = SymExpr(child.terms, child.j + int(j))
+        coeffs = np.abs(out._taylor_coeffs())
+        if np.max(coeffs[: out.j], initial=0.0) > VANISH_RTOL * np.max(coeffs):
+            raise ParameterError(f"quotpow child does not vanish to order {int(j)} at 0")
+        return out
+    if kind in ("sum", "product"):
         children = [expr_from_json(ch) for ch in payload["children"]]
         out = children[0]
         for ch in children[1:]:
-            out = NodeProd.of(out, ch)
+            out = out + ch if kind == "sum" else out * ch
         return out
     raise ParameterError(f"unknown expression node type {kind!r}")

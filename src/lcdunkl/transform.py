@@ -31,7 +31,7 @@ import numpy as np
 from .errors import AccuracyWarning, ParameterError
 from .quadrature import QuadratureRule, SampledFunction
 from .specfun import CanonicalMatrix, _bessel_j_tables, kval, matval, principal_power, regularized_gamma
-from .symfun import NodeProd, NodeSum, PolySum, QuotPow, SymExpr, evaluate, gaussian
+from .symfun import SymExpr, evaluate, gaussian
 
 __all__ = [
     "Spectrum",
@@ -213,17 +213,10 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
     """Upper bound on the L1 Dunkl-measure mass of e outside [-X, X].
 
     Returns None when the expression class admits no simple closed-form
-    bound (quotient or product nodes), and inf when the bound passes the
-    double range. The bound is formed in log space.
+    bound (j > 0), and inf when the bound passes the double range. The
+    bound is formed in log space.
     """
-    if isinstance(e, NodeSum):
-        parts = [tail_mass_estimate(ch, rule) for ch in e.children]
-        if any(p is None for p in parts):
-            return None
-        return sum(parts)
-    if isinstance(e, (QuotPow, NodeProd)):
-        return None
-    if not isinstance(e, PolySum):
+    if e.j:
         return None
     k = rule.k
     X = rule.X

@@ -120,6 +120,9 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         # |x|^(2k+1) overflows on the x rule: refused while the rule is built, not after a transform
         ("transform", {"k": 80, "function": {"type": "symexpr", "expr": GAUSSIAN_EXPR},
                        "grid": {"x_radius": 320, "x_panels": 64, "x_nodes": 12, "lambda_radius": 6.0}}, "grid"),
+        # a quotpow child that does not vanish to order j at 0 (here exp(-x^2/2) / x)
+        ("transform", {"function": {"type": "symexpr", "expr": {"type": "quotpow", "j": 1, "child": GAUSSIAN_EXPR}}},
+         "function.expr"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):

@@ -197,13 +197,21 @@ def test_norm_sequence_bump_ratio_approaches_edge():
     assert seq.ratio[30] == pytest.approx(2.0, rel=0.08)
 
 
-def test_norm_sequence_paths_agree(prof):
-    f = gaussian(-1.0, m=2)
-    spec = norm_sequence(f, K, M_ROT, 2.0, 12, path="spectral", lam_rule=prof.lam_rule, x_rule=prof.x_rule)
-    sym = norm_sequence(f, K, M_ROT, 2.0, 12, path="symbolic", x_rule=prof.x_rule)
-    for n in range(13):
+def _assert_paths_agree(prof, f, M, n_max):
+    spec = norm_sequence(f, K, M, 2.0, n_max, path="spectral", lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+    sym = norm_sequence(f, K, M, 2.0, n_max, path="symbolic", x_rule=prof.x_rule)
+    for n in range(n_max + 1):
         a, b = spec.lognorm[n], sym.lognorm[n]
         assert abs(math.exp(a - b) - 1.0) <= 1e-5
+
+
+def test_norm_sequence_paths_agree(prof):
+    _assert_paths_agree(prof, gaussian(-1.0, m=2), M_ROT, 12)
+
+
+def test_norm_sequence_paths_agree_beta(prof):
+    # beta != 0: the symbolic iterates carry x^(-n)
+    _assert_paths_agree(prof, gaussian(-0.4, beta=0.5j), M_SHEAR, 6)
 
 
 def test_norm_sequence_consistency_and_csv(prof):

@@ -7,9 +7,7 @@ from lcdunkl.errors import ParameterError
 from lcdunkl.quadrature import SampledFunction, build_rule, inner_product, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import (
-    NodeProd,
-    PolySum,
-    QuotPow,
+    SymExpr,
     Term,
     apply_dunkl,
     apply_lcd,
@@ -74,8 +72,8 @@ def test_differentiate_basics():
         bessel_factor(0.7, 1.3, m=2, alpha=-0.4),
         dunkl_kernel_expr(0.5, 2.0),
         odd_quotient(gaussian(-0.3, beta=0.4)),
-        QuotPow(monomial(3), 2),
-        NodeProd.of(monomial(1), QuotPow(monomial(3), 2)),
+        SymExpr(monomial(3).terms, 2),
+        monomial(1) * SymExpr(monomial(3).terms, 2),
     ],
 )
 def test_derivative_matches_finite_difference(expr):
@@ -174,6 +172,13 @@ def test_iterate_op_kernel_power():
     assert np.max(np.abs(evaluate(out, xs) - rhs)) <= 1e-8
 
 
+def test_iterate_op_beta_iterates_stay_small():
+    # beta != 0 takes the quotient route; one numerator over x^n keeps it small
+    out = iterate_op(0.5, M_SHEAR, gaussian(-0.4, beta=0.5j), 8)
+    assert out.j == 8
+    assert len(out.terms) <= 50
+
+
 def test_iterate_op_budget_error():
     with pytest.raises(ParameterError):
         iterate_op(0.5, M_SHEAR, gaussian(-1.0), 61)
@@ -262,16 +267,47 @@ def test_json_round_trip():
     exprs = [
         gaussian(-0.5, beta=0.1j, m=2, coeff=1 - 2j) + bessel_factor(0.7, 1.3, m=1),
         odd_quotient(gaussian(-0.3, beta=0.4)),
-        NodeProd.of(monomial(1), QuotPow(monomial(3), 2)),
+        monomial(1) * SymExpr(monomial(3).terms, 2),
     ]
     for e in exprs:
         back = expr_from_json(expr_to_json(e))
         assert np.max(np.abs(evaluate(back, GRID) - evaluate(e, GRID))) <= 1e-14
 
 
+def test_quotpow_json_needs_a_vanishing_child():
+    def quot(child, j):
+        return expr_from_json({"type": "quotpow", "j": j, "child": expr_to_json(child)})
+
+    # x^3 / x^2 vanishes to order 2 at 0, so it is read; it equals x on both sides of the Taylor window
+    e = quot(monomial(3), 2)
+    xs = np.array([-1.3, -0.051, -0.049, 0.0, 0.02, 0.049, 0.051, 2.0])
+    assert np.max(np.abs(evaluate(e, xs) - xs)) <= 1e-15
+    # exp(-x^2/2) / x is singular at 0: the Taylor window would drop the 1/x part
+    with pytest.raises(ParameterError, match="vanish to order 1"):
+        quot(gaussian(-0.5), 1)
+    with pytest.raises(ParameterError, match="vanish to order 3"):
+        quot(monomial(2), 3)
+    with pytest.raises(ParameterError, match="quotient power"):
+        quot(monomial(3), 0)
+
+
+def test_expr_to_json_shape():
+    e = gaussian(-0.5, beta=0.2)
+    assert expr_to_json(e)["type"] == "sum_of_terms"
+    q = odd_quotient(e)
+    node = expr_to_json(q)
+    assert (node["type"], node["j"], node["child"]) == ("quotpow", 1, expr_to_json(SymExpr(q.terms)))
+    # sum and product nodes still read, into the same normal form
+    both = expr_from_json({"type": "sum", "children": [expr_to_json(e), node]})
+    prod = expr_from_json({"type": "product", "children": [expr_to_json(e), node]})
+    assert (both.j, prod.j) == (1, 1)
+    assert np.max(np.abs(evaluate(both, GRID) - evaluate(e + q, GRID))) <= 1e-14
+    assert np.max(np.abs(evaluate(prod, GRID) - evaluate(e, GRID) * evaluate(q, GRID))) <= 1e-13
+
+
 def test_canonical_merge_drops_cancelled_terms():
     e = gaussian(-0.5) + gaussian(-0.5, coeff=-1.0)
-    assert isinstance(e, PolySum)
+    assert e.j == 0
     assert len(e.terms) == 0
     assert np.all(evaluate(e, GRID) == 0)
 

@@ -7,10 +7,10 @@ import pytest
 
 from lcdunkl import specfun, transform
 from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
-from lcdunkl.errors import ParameterError
+from lcdunkl.errors import AccuracyWarning, ParameterError
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
 from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_grid, principal_power
-from lcdunkl.symfun import PolySum, Term, evaluate, gaussian, iterate_op
+from lcdunkl.symfun import SymExpr, Term, evaluate, gaussian, iterate_op
 from lcdunkl.transform import (
     Spectrum,
     chirp_factorized_forward,
@@ -153,6 +153,20 @@ def test_dunkl_intertwining_sign():
         assert np.max(np.abs(got.values - want)) <= 1e-7 * denom
 
 
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_intertwining_beta_iterates(n):
+    # D^M_k(Lambda^n f) = (i mu)^n D^M_k(f) with Lambda the inverse-matrix operator, for beta != 0
+    k = 0.5
+    prof = gauss_profile(k)
+    f = gaussian(-0.4, beta=0.5j)
+    base = lcdt_forward(f, k, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
+    it = iterate_op(k, M_SHEAR.inverse(), f, n)
+    with pytest.warns(AccuracyWarning, match="could not be bounded"):  # x^(-n) has no closed tail bound
+        got = lcdt_forward(it, k, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
+    want = (1j * prof.lam_rule.nodes / M_SHEAR.b) ** n * base.values
+    assert np.max(np.abs(got.values - want)) <= 1e-7 * np.max(np.abs(want))
+
+
 def test_plancherel_and_parseval():
     k = 0.5
     x_rule, lam_rule = rules(k)
@@ -208,7 +222,7 @@ def test_tail_mass_matches_the_gamma_formula(k):
     # the log-space bound against the direct Gamma(s) / a^s form where Gamma(s) is finite
     rule, _ = rules(k)
     terms = [(1.0, 0, 0.5, 0.0), (2.5, 3, 0.1, 0.4), (0.7, 8, 0.05, -0.2)]
-    got = tail_mass_estimate(PolySum([Term(c, m=m, alpha=-a, beta=br) for c, m, a, br in terms]), rule)
+    got = tail_mass_estimate(SymExpr([Term(c, m=m, alpha=-a, beta=br) for c, m, a, br in terms]), rule)
     want = 0.0
     for c, m, a, br in terms:
         a_eff = a - abs(br) / rule.X
