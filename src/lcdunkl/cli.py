@@ -251,8 +251,7 @@ def main(argv=None) -> int:
 
     p_ve = sub.add_parser("verify", help="run the built-in verification suites")
     p_ve.add_argument("--out", default="out")
-    p_ve.add_argument("--suite", default="all",
-                      choices=["all", "specfun", "transform", "operators", "sobolev", "pw"])
+    p_ve.add_argument("--suite", default="all", choices=("all",) + verify_mod.SUITES)
 
     args = parser.parse_args(argv)
     try:

@@ -140,13 +140,6 @@ class SymbolicMember:
 class BumpMember:
     name: str
     intervals: tuple
-    symmetrized: bool = False
-
-    def all_intervals(self):
-        if not self.symmetrized:
-            return self.intervals
-        mirrored = tuple((-hi, -lo) for lo, hi in self.intervals)
-        return mirrored + self.intervals
 
 
 def symbolic_members():
@@ -162,5 +155,5 @@ def standard_corpus():
     """The six-member corpus: four symbolic, two spectral bumps."""
     return symbolic_members(), [
         BumpMember("bump_1_2", ((1.0, 2.0),)),
-        BumpMember("bump_sym_05_15", ((0.5, 1.5),), symmetrized=True),
+        BumpMember("bump_sym_05_15", ((-1.5, -0.5), (0.5, 1.5))),
     ]

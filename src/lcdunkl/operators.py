@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 MAX_N_SPECTRAL = 60
-MAX_N_SYMBOLIC = 30
+MAX_N_SYMBOLIC = 20
 SERIES_TAIL_TOL = 1e-12
 # beyond this, float64 cancellation noise in the alternating heat series
 # exceeds the 1e-6 agreement target: partial sums reach exp(q)

@@ -8,7 +8,9 @@ the p = 2 norm sequence of `operators._sequence`.
 
 Spectral differentiation samples its input through `transform._sampled`,
 as lcdt_forward does: the same tail-bound warnings, and the same refusal
-of rules built for another k.
+of rules built for another k. Its plain Dunkl sums come from
+`transform._core_apply` at 1/b with the frequency rule's fold, so they
+read the table pair that lcdt_forward caches for that rule pair and |b|.
 """
 
 import math
@@ -20,7 +22,7 @@ from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
 from .specfun import dunkl_kernel_dx, kval, matval
 from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
-from .transform import _sampled, dunkl_values_at
+from .transform import _core_apply, _sampled
 
 __all__ = [
     "sobolev_norm",
@@ -112,7 +114,7 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
     mm = matval(M)
     fs, _ = _sampled(f, kk, lam_rule, x_rule)
     mu = lam_rule.nodes / mm.b
-    gvals = dunkl_values_at(fs, kk, mu)
+    gvals = _core_apply(kk, lam_rule.nodes, fs.rule, fs.values, 1.0 / mm.b, lam_rule.fold)
     out_rule = x_grid if isinstance(x_grid, QuadratureRule) else None
     xs = out_rule.nodes if out_rule is not None else np.asarray(x_grid, dtype=np.float64)
     kermat = dunkl_kernel_dx(kk, n, mu[:, None], xs[None, :])

@@ -11,7 +11,8 @@ The transform's kernel tables come from ``_bessel_j_tables``: at every
 order but -1/2, it runs ``bessel_j_grid`` only at Chebyshev points on
 panels of width at most 1/2 and sums each panel's series over the table.
 cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
-``bessel_j_norm`` and ``dunkl_kernel_dx``.
+``bessel_j_norm`` and ``dunkl_kernel_dx``, whose n = 0 terms are the one
+kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 ``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "bessel_j_norm",
     "bessel_j_grid",
     "dunkl_kernel",
-    "dunkl_kernel_grid",
     "dunkl_kernel_dx",
     "lcdt_kernel",
     "principal_power",
@@ -266,20 +266,7 @@ def bessel_j_norm(k, x: float) -> float:
 
 def dunkl_kernel(k, lam: float, x: float) -> complex:
     """Dunkl kernel E_k(i*lam, x) = j_k(lam x) + i lam x j_{k+1}(lam x)/(2(k+1))."""
-    kk = kval(k)
-    u = lam * x
-    j0 = bessel_j_norm(kk, u)
-    j1 = bessel_j_norm(kk + 1.0, u)
-    return complex(j0, u * j1 / (2.0 * (kk + 1.0)))
-
-
-def dunkl_kernel_grid(k, u) -> np.ndarray:
-    """E_k(i, .) over an array of products u = lam*x (complex output)."""
-    kk = kval(k)
-    u = np.asarray(u, dtype=np.float64)
-    j0 = bessel_j_grid(kk, u)
-    j1 = bessel_j_grid(kk + 1.0, u)
-    return j0 + 1j * u * j1 / (2.0 * (kk + 1.0))
+    return complex(dunkl_kernel_dx(k, 0, lam, x))
 
 
 def lcdt_kernel(k, M, lam: float, x: float) -> complex:
@@ -291,6 +278,7 @@ def lcdt_kernel(k, M, lam: float, x: float) -> complex:
 
 
 # n-th x-derivative of E_k(i lam, .): lam^n * sum_t c_t (lam x)^{a_t} j_{k+i_t}(lam x),
+# starting from E_k(i lam, x) = j_k(lam x) + i lam x j_{k+1}(lam x) / (2(k+1)) at n = 0,
 # generated by d/dx[(lam x)^a j_{k+i}] = lam [a (lam x)^{a-1} j_{k+i}
 #                                             - (lam x)^{a+1} j_{k+i+1} / (2(k+i+1))]
 def _kernel_dx_terms(k: float, n: int):

@@ -18,7 +18,10 @@ Every route that takes function input (lcdt_forward,
 chirp_factorized_forward, sobolev.derivative_via_spectrum) gets its
 samples from _sampled: it samples a SymExpr on the x rule and raises the
 tail-bound AccuracyWarnings, passes a SampledFunction through, and
-refuses rules built for another Dunkl parameter k.
+refuses rules built for another Dunkl parameter k. All three contract on
+the same table pair, keyed on unique|lam| x unique|x| at |b| with the
+lam rule's fold: the chirp route as _lcdt_apply at (0, b; -1/b, d), the
+spectral derivatives as _core_apply at 1/b.
 """
 
 import json
@@ -39,7 +42,6 @@ __all__ = [
     "lcdt_inverse",
     "chirp_factorized_forward",
     "dunkl_transform",
-    "dunkl_values_at",
     "tail_mass_estimate",
 ]
 
@@ -173,9 +175,8 @@ def _core_folded(k: float, fold, rule: QuadratureRule, fvals: np.ndarray, inv_b:
     return (even[:, cut] @ fe[cut]).view(np.complex128), (odd[:, cut] @ fo[cut]).view(np.complex128)
 
 
-def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float, fold=None):
-    """_core_folded unfolded onto freqs; fold defaults to that of freqs, computed here."""
-    fold = np.unique(np.abs(freqs), return_inverse=True) if fold is None else fold
+def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float, fold):
+    """_core_folded unfolded onto freqs, whose fold (unique|freqs|, class of each) is given."""
     ev, od = _core_folded(k, fold, rule, fvals, inv_b)
     finv = fold[1]
     out = ev[finv] - 1j * np.sign(freqs * inv_b)[:, None] * od[finv]
@@ -212,12 +213,11 @@ def _sampled(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | None):
 def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
     """Upper bound on the L1 Dunkl-measure mass of e outside [-X, X].
 
-    Returns None when the expression class admits no simple closed-form
-    bound (j > 0), and inf when the bound passes the double range. The
-    bound is formed in log space.
+    For |x| >= X, |c / x^j| <= |c| / X^j, so the bound is that of the
+    numerator over X^j. Returns None when a term does not decay (its
+    Gaussian rate does not beat |Re beta| / X), and inf when the bound
+    passes the double range. The bound is formed in log space.
     """
-    if e.j:
-        return None
     k = rule.k
     X = rule.X
     total = 0.0
@@ -227,12 +227,12 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
         a_eff = a - br / X  # e^{|Re beta| x} <= e^{(|Re beta|/X) x^2} for x >= X
         if a_eff <= 0:
             return None
-        # |term| <= |coeff| x^m e^{-a_eff x^2} (|j| <= 1); integrate the tail
+        # |term| <= |coeff| x^m e^{-a_eff x^2} (|j_kappa| <= 1); integrate the tail
         s = 0.5 * (t.m + 2.0 * k + 2.0)
         q = regularized_gamma(s, a_eff * X * X)[1]
         if q > 0.0:
             log_g = math.log(q) + math.lgamma(s) - s * math.log(a_eff)
-            log_g -= (k + 1.0) * math.log(2.0) + math.lgamma(k + 1.0)
+            log_g -= (k + 1.0) * math.log(2.0) + math.lgamma(k + 1.0) + e.j * math.log(X)
             try:
                 total += abs(t.coeff) * math.exp(log_g)
             except OverflowError:
@@ -278,16 +278,13 @@ def dunkl_transform(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | Non
     return lcdt_forward(f, k, CanonicalMatrix(0.0, 1.0, -1.0, 0.0), lam_rule, x_rule=x_rule)
 
 
-def dunkl_values_at(f: SampledFunction, k, freqs: np.ndarray) -> np.ndarray:
-    """Plain Dunkl transform of f evaluated at arbitrary frequencies."""
-    kk = kval(k)
-    return _core_apply(kk, np.asarray(freqs, dtype=np.float64), f.rule, f.values, 1.0)
-
-
 def chirp_factorized_forward(f: SymExpr, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule) -> "Spectrum":
     """Second route to D^M_k(f): chirp multiply, plain Dunkl at lam/b, chirp.
 
     D^M_k(f)(lam) = e^{i d lam^2/(2b)} (ib)^{-(k+1)} D_k(e^{i a x^2/(2b)} f)(lam/b)
+
+    The input chirp is applied symbolically; the rest is the direct
+    route at (0, b; -1/b, d), whose x-chirp is 1, on the same table pair.
     """
     if not isinstance(f, SymExpr):
         raise ParameterError("the chirp-factorized route takes a symbolic input")
@@ -295,8 +292,5 @@ def chirp_factorized_forward(f: SymExpr, k, M, lam_rule: QuadratureRule, x_rule:
     mm = matval(M)
     chirped = gaussian(0.5j * (mm.a / mm.b)) * f
     fs, warns = _sampled(chirped, kk, lam_rule, x_rule)
-    lam = lam_rule.nodes
-    dvals = _core_apply(kk, lam / mm.b, fs.rule, fs.values, 1.0)
-    pref = principal_power(1j * mm.b, -(kk + 1.0))
-    values = pref * np.exp(0.5j * (mm.d / mm.b) * lam * lam) * dvals
+    values = _lcdt_apply(kk, CanonicalMatrix(0.0, mm.b, -1.0 / mm.b, mm.d), lam_rule, fs.rule, fs.values)
     return Spectrum(rule=lam_rule, values=values, k=kk, M=mm, label=getattr(f, "label", ""), warnings=warns)

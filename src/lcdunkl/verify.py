@@ -228,8 +228,8 @@ def _corpus_samples(k, M):
         vals = evaluate(m.expr, prof.x_rule.nodes)
         items.append((m.name, SampledFunction(prof.x_rule, vals, label=m.name), prof))
     for bm in bumps:
-        bprof = _bump(k, bm.all_intervals(), M.b)
-        f, _ = realize_bump(k, M, bm.all_intervals(), bprof, label=bm.name)
+        bprof = _bump(k, bm.intervals, M.b)
+        f, _ = realize_bump(k, M, bm.intervals, bprof, label=bm.name)
         items.append((bm.name, f, bprof))
     return items
 

@@ -106,8 +106,8 @@ def _corpus_items(k, M):
         for m in sym
     ]
     for bm in bumps:
-        bprof = bump(k, bm.all_intervals(), M.b)
-        f, _ = realize_bump(k, M, bm.all_intervals(), bprof, label=bm.name)
+        bprof = bump(k, bm.intervals, M.b)
+        f, _ = realize_bump(k, M, bm.intervals, bprof, label=bm.name)
         items.append((bm.name, f, bprof))
     return items
 

@@ -207,6 +207,7 @@ def _assert_paths_agree(prof, f, M, n_max):
 
 def test_norm_sequence_paths_agree(prof):
     _assert_paths_agree(prof, gaussian(-1.0, m=2), M_ROT, 12)
+    _assert_paths_agree(prof, gaussian(-0.4), M_SHEAR, 20)  # up to MAX_N_SYMBOLIC
 
 
 def test_norm_sequence_paths_agree_beta(prof):
@@ -228,8 +229,9 @@ def test_norm_sequence_budgets(prof):
     for n_max in (0, -1, 61):
         with pytest.raises(ParameterError):
             norm_sequence(f, K, M_SHEAR, 2.0, n_max, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
-    with pytest.raises(ParameterError):
-        norm_sequence(f, K, M_SHEAR, 2.0, 31, path="symbolic", x_rule=prof.x_rule)
+    for n_max in (21, 31):
+        with pytest.raises(ParameterError):
+            norm_sequence(f, K, M_SHEAR, 2.0, n_max, path="symbolic", x_rule=prof.x_rule)
 
 
 def _lognorms_one_n_at_a_time(g, log_mult, phase, p, n_max, x_rule):

@@ -9,13 +9,13 @@ from lcdunkl import specfun, transform
 from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning, ParameterError
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
-from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_grid, principal_power
+from lcdunkl.sobolev import derivative_via_spectrum
+from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_dx, principal_power
 from lcdunkl.symfun import SymExpr, Term, evaluate, gaussian, iterate_op
 from lcdunkl.transform import (
     Spectrum,
     chirp_factorized_forward,
     dunkl_transform,
-    dunkl_values_at,
     lcdt_forward,
     lcdt_inverse,
     tail_mass_estimate,
@@ -76,7 +76,7 @@ def test_fourier_matrix_reduces_to_dunkl(k):
     f = gaussian(-0.5, m=1, coeff=0.4 + 1j)
     lcdt = lcdt_forward(f, k, M_FOURIER, lam_rule, x_rule=x_rule)
     dunkl = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
-    plain = dunkl_values_at(SampledFunction(x_rule, evaluate(f, x_rule.nodes)), k, lam_rule.nodes)
+    plain = transform._core_apply(k, lam_rule.nodes, x_rule, evaluate(f, x_rule.nodes), 1.0, lam_rule.fold)
     pref = principal_power(1j, -(k + 1.0))
     assert dunkl.M == M_FOURIER
     assert np.max(np.abs(dunkl.values - lcdt.values)) <= 1e-12
@@ -161,8 +161,11 @@ def test_intertwining_beta_iterates(n):
     f = gaussian(-0.4, beta=0.5j)
     base = lcdt_forward(f, k, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
     it = iterate_op(k, M_SHEAR.inverse(), f, n)
-    with pytest.warns(AccuracyWarning, match="could not be bounded"):  # x^(-n) has no closed tail bound
+    if n < 8:  # the numerator's tail bound over X^n stays below the warn threshold
         got = lcdt_forward(it, k, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
+    else:  # x^16 e^(-0.4 x^2) carries a real tail past X = 10
+        with pytest.warns(AccuracyWarning, match="estimated tail mass"):
+            got = lcdt_forward(it, k, M_SHEAR, prof.lam_rule, x_rule=prof.x_rule)
     want = (1j * prof.lam_rule.nodes / M_SHEAR.b) ** n * base.values
     assert np.max(np.abs(got.values - want)) <= 1e-7 * np.max(np.abs(want))
 
@@ -222,7 +225,8 @@ def test_tail_mass_matches_the_gamma_formula(k):
     # the log-space bound against the direct Gamma(s) / a^s form where Gamma(s) is finite
     rule, _ = rules(k)
     terms = [(1.0, 0, 0.5, 0.0), (2.5, 3, 0.1, 0.4), (0.7, 8, 0.05, -0.2)]
-    got = tail_mass_estimate(SymExpr([Term(c, m=m, alpha=-a, beta=br) for c, m, a, br in terms]), rule)
+    numerator = [Term(c, m=m, alpha=-a, beta=br) for c, m, a, br in terms]
+    got = tail_mass_estimate(SymExpr(numerator), rule)
     want = 0.0
     for c, m, a, br in terms:
         a_eff = a - abs(br) / rule.X
@@ -230,6 +234,8 @@ def test_tail_mass_matches_the_gamma_formula(k):
         g = specfun.regularized_gamma(s, a_eff * rule.X**2)[1] * math.gamma(s) / a_eff**s
         want += c * g / (2.0 ** (k + 1.0) * math.gamma(k + 1.0))
     assert got == pytest.approx(want, rel=1e-12)
+    # over x^j the bound is divided by X^j
+    assert tail_mass_estimate(SymExpr(numerator, j=3), rule) == pytest.approx(want / rule.X**3, rel=1e-12)
 
 
 def test_spectrum_csv_and_metadata():
@@ -264,7 +270,7 @@ def neither_even_nor_odd(x_rule):
 
 def dense_lcdt(vals, M, lam_rule, x_rule):
     lam, x = lam_rule.nodes, x_rule.nodes
-    kern = dunkl_kernel_grid(FOLD_K, -np.outer(lam, x) / M.b)  # E_k(-i lam/b, x)
+    kern = dunkl_kernel_dx(FOLD_K, 0, -lam[:, None] / M.b, x)  # E_k(-i lam/b, x)
     core = kern @ (x_rule.weights * np.exp(0.5j * (M.a / M.b) * x * x) * vals)
     return principal_power(1j * M.b, -(FOLD_K + 1.0)) * np.exp(0.5j * (M.d / M.b) * lam * lam) * core
 
@@ -300,8 +306,9 @@ def test_folded_values_at_asymmetric_unsorted_frequencies():
     prof = small_profile()
     f = neither_even_nor_odd(prof.x_rule)
     freqs = np.array([1.3, -0.4, 0.0, 2.9, -2.9, 0.7, -5.1, 0.4])
-    want = dunkl_kernel_grid(FOLD_K, -np.outer(freqs, f.rule.nodes)) @ (f.rule.weights * f.values)
-    assert_close(dunkl_values_at(f, FOLD_K, freqs), want)
+    want = dunkl_kernel_dx(FOLD_K, 0, -freqs[:, None], f.rule.nodes) @ (f.rule.weights * f.values)
+    fold = np.unique(np.abs(freqs), return_inverse=True)
+    assert_close(transform._core_apply(FOLD_K, freqs, f.rule, f.values, 1.0, fold), want)
 
 
 @pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
@@ -341,6 +348,18 @@ def test_table_cache_evicts_by_bytes(monkeypatch):
     transform._tables.clear()
     assert np.array_equal(lcdt_forward(f, FOLD_K, M_BPOS, prof.lam_rule).values, first)
     assert not transform._tables
+
+
+def test_direct_chirp_and_derivative_routes_share_one_table_pair(monkeypatch):
+    # the chirp route and spectral derivatives contract on lcdt_forward's pair
+    monkeypatch.setattr(transform, "_tables", {})
+    prof = gauss_profile(0.5)
+    M = CanonicalMatrix(1.0, 0.9, 0.0, 1.0)
+    f = gaussian(-0.5, m=1)
+    lcdt_forward(f, 0.5, M, prof.lam_rule, x_rule=prof.x_rule)
+    chirp_factorized_forward(f, 0.5, M, prof.lam_rule, prof.x_rule)
+    derivative_via_spectrum(f, 0.5, M, 1, np.linspace(-2.0, 2.0, 9), prof.lam_rule, x_rule=prof.x_rule)
+    assert len(transform._tables) == 1
 
 
 def test_bump_round_trip_at_large_order():
