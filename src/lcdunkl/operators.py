@@ -225,18 +225,30 @@ def _folded_lp_norms(g: Spectrum, cols, p, x_rule):
     At x the inverse has modulus |b'|^-(k+1) |ev - i sign(x / b') od| of the
     class of |x| (b' is the b-entry of g.M^-1; the output chirp has modulus
     1), so each class gets one weight per sign of x. od vanishes at x = 0;
-    a class without a node of one sign gets weight and value 0.
+    a class without a node of one sign gets weight and value 0. The two
+    signs are read in turn through one complex block and its moduli, and
+    p = 1 and p = inf take no power.
     """
     Mi = g.M.inverse()
     chirp = np.exp(0.5j * (Mi.a / Mi.b) * g.rule.nodes**2)[:, None]
-    ev, od = transform._core_folded(g.k, x_rule.fold, g.rule, chirp * cols, 1.0 / Mi.b)
-    s = math.copysign(1.0, Mi.b) * 1j * od
-    mags = np.abs(np.concatenate([ev - s, ev + s]))  # classes of x >= 0, then of x < 0
+    ev, s = transform._core_folded(g.k, x_rule.fold, g.rule, chirp * cols, 1.0 / Mi.b)
+    s *= math.copysign(1.0, Mi.b) * 1j  # od -> i sign(b') od, in place
     xa, xinv = x_rule.fold
-    side = xinv + xa.size * (x_rule.nodes < 0)
-    mags[np.bincount(side, minlength=2 * xa.size) == 0] = 0.0
-    w = np.bincount(side, x_rule.weights, 2 * xa.size)
-    norms = np.max(mags, axis=0) if p == math.inf else (w @ mags**p) ** (1.0 / p)
+    block = np.empty_like(ev)
+    mags = np.empty(ev.shape)
+    norms = np.zeros(ev.shape[1])
+    for combine, side in ((np.subtract, x_rule.nodes >= 0), (np.add, x_rule.nodes < 0)):
+        cls = xinv[side]
+        np.abs(combine(ev, s, out=block), out=mags)
+        mags[np.bincount(cls, minlength=xa.size) == 0] = 0.0
+        if p == math.inf:
+            np.maximum(norms, np.max(mags, axis=0), out=norms)
+            continue
+        if p != 1.0:
+            mags **= p
+        norms += np.bincount(cls, x_rule.weights[side], xa.size) @ mags
+    if p not in (1.0, math.inf):
+        norms **= 1.0 / p
     return abs(Mi.b) ** -(g.k + 1.0) * norms
 
 

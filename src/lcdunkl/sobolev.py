@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
-from .specfun import dunkl_kernel_dx, kval, matval
+from .specfun import _derivative_order, dunkl_kernel_dx, kval, matval
 from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
 from .transform import _core_apply, _sampled
 
@@ -108,6 +108,7 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
     derivatives come from the Bessel order-raising recurrence. Returns a
     SampledFunction when x_grid is a QuadratureRule, else the value array.
     """
+    n = _derivative_order(n)
     if n < 0 or n > MAX_SPECTRAL_DERIVATIVE:
         raise ParameterError(f"spectral derivative order must lie in [0, {MAX_SPECTRAL_DERIVATIVE}]")
     kk = kval(k)

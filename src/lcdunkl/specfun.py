@@ -18,6 +18,7 @@ kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,8 @@ def _series(nu: float, u: np.ndarray) -> np.ndarray:
 def bessel_j_grid(nu: float, u) -> np.ndarray:
     """j_nu at every element of u (even in u; j_nu(0) = 1)."""
     nu = float(nu)
-    if nu < -0.5:
-        raise ParameterError(f"order must satisfy nu >= -1/2, got {nu}")
+    if not (math.isfinite(nu) and nu >= -0.5):
+        raise ParameterError(f"order must be finite and satisfy nu >= -1/2, got {nu}")
     ua = np.abs(np.asarray(u, dtype=np.float64))
     if ua.size and not np.all(np.isfinite(ua)):
         raise ParameterError("bessel argument must be finite")
@@ -254,10 +255,6 @@ def bessel_j_norm(k, x: float) -> float:
     relative error is ~1e-12 wherever |j_k| is not vanishingly small.
     """
     nu = kval(k) if isinstance(k, DunklParameter) else float(k)
-    if nu < -0.5:
-        raise ParameterError(f"order must satisfy k >= -1/2, got {nu}")
-    if not math.isfinite(x):
-        raise ParameterError("x must be finite")
     return float(bessel_j_grid(nu, np.array([x]))[0])
 
 
@@ -295,12 +292,21 @@ def _kernel_dx_terms(k: float, n: int):
     return terms
 
 
+def _derivative_order(n) -> int:
+    """n as an int (numpy integers too); a float, even 2.0, raises ParameterError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ParameterError(f"derivative order must be an integer, got {n!r}") from None
+
+
 def dunkl_kernel_dx(k, n: int, lam, x) -> np.ndarray:
     """n-th derivative in x of the Dunkl kernel E_k(i*lam, x).
 
     Broadcasts lam and x. Satisfies |d^n/dx^n E_k(i lam, x)| <= |lam|^n.
     """
     kk = kval(k)
+    n = _derivative_order(n)
     if n < 0:
         raise ParameterError("derivative order must be >= 0")
     lam = np.asarray(lam, dtype=np.float64)

@@ -9,8 +9,11 @@ factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
 rules that quarters the table. At every order but -1/2 (cos), the
 tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
 under the same accuracy contract. One cached pair serves both directions
-of a grid pair (the other one reads the transposed view), and the cache
-holds at most TABLE_BUDGET bytes, dropping its oldest pairs first.
+of a grid pair, and the cache holds at most TABLE_BUDGET bytes, dropping
+its oldest pairs first. A pair is stored C-ordered with its rows on the
+longer folded grid. On bump profiles that is |x|: the inverse of a
+p != 2 norm sequence contracts its n_max + 1 columns against C order,
+and the one-column forward transforms read the transposed view.
 _core_folded returns the even and odd sums on unique|freq| (p != 2 norm
 sequences read their norms off these), and _core_apply unfolds them.
 
@@ -127,10 +130,12 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     """j_k(t) and t j_{k+1}(t) / (2(k+1)) on t = outer(fa, xa) / absb.
 
     fa and xa are sorted unique magnitudes. Both orientations of a grid
-    pair share one cached pair of tables.
+    pair share one cached pair of tables, stored C-ordered with its rows on
+    the longer grid (on the smaller bytes at equal lengths); the other
+    orientation reads the transposed view.
     """
     ka, kb = fa.tobytes(), xa.tobytes()
-    swap = ka > kb
+    swap = ka > kb if fa.size == xa.size else xa.size > fa.size
     key = (k, absb, kb, ka) if swap else (k, absb, ka, kb)
     got = _tables.get(key)
     if got is None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,3 +380,22 @@ def test_spectrum_for_another_k_or_M_is_refused():
             apply_power_spectral(spec, k, M, 1, x_rule=xr)
         with pytest.raises(ParameterError, match="spectrum is for"):
             heat_semigroup(spec, k, M, 1, mode="series", x_rule=xr)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_folded_lp_norms_hold_no_stacked_copies(p):
+    # the L^p fold reads ev -/+ i od per sign class through one complex block:
+    # the call peaks near twice the bytes of its two (|x| classes x (n_max + 1))
+    # contraction outputs, where stacking both classes took 3.7 times them
+    profb = bump_profile(K, ((1.0, 2.0),), b=1.0)
+    spec = bump_spectrum(K, M_SHEAR, ((1.0, 2.0),), profb)
+    rules = {"lam_rule": profb.lam_rule, "x_rule": profb.x_rule}
+    compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=40, **rules)  # warm: the table pair is cached
+    outputs = 2 * profb.x_rule.fold[0].size * 41 * 16
+    tracemalloc.start()
+    try:
+        compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=40, **rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * outputs

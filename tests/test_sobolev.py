@@ -127,6 +127,15 @@ def test_derivative_via_spectrum_matches_symbolic(prof, n):
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0])
+def test_derivative_via_spectrum_refuses_non_integer_order(prof, n):
+    xs = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(ParameterError, match="derivative order must be an integer"):
+        derivative_via_spectrum(gaussian(-0.5), K, M_ROT, n, xs, prof.lam_rule, x_rule=prof.x_rule)
+    got = derivative_via_spectrum(gaussian(-0.5), K, M_ROT, np.int32(2), xs, prof.lam_rule, x_rule=prof.x_rule)
+    assert np.array_equal(got, derivative_via_spectrum(gaussian(-0.5), K, M_ROT, 2, xs, prof.lam_rule, x_rule=prof.x_rule))
+
+
 def test_derivative_via_spectrum_refuses_rules_for_another_k():
     prof = gauss_profile(0.5)
     xs = np.linspace(-3.0, 3.0, 61)

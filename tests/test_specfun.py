@@ -146,6 +146,16 @@ def interpolation_grid():
     return np.concatenate([np.linspace(0.0, 2000.0, 40001), rng.uniform(0.0, 2000.0, 20000)])
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_bessel_refuses_non_finite_order(nu):
+    # refused by name inside the series range (|u| <= 7.5) and beyond it
+    for u in (np.array([0.5, 7.5]), np.array([50.0])):
+        with pytest.raises(ParameterError, match=f"got {nu}"):
+            bessel_j_grid(nu, u)
+        with pytest.raises(ParameterError, match=f"got {nu}"):
+            bessel_j_norm(nu, float(u[-1]))
+
+
 @pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 1.5, 1.6, 2.1, 2.5, 2.6, 3.1, 6.0, 150.3, 150.5])
 def test_interpolated_table_against_mpmath(nu):
     t = interpolation_grid()
@@ -270,6 +280,13 @@ def test_kernel_derivative_bound():
         for n in range(4):
             vals = dunkl_kernel_dx(k, n, lam, x)
             assert np.all(np.abs(vals) <= np.abs(lam) ** n + 1e-10)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0])
+def test_kernel_derivative_refuses_non_integer_order(n):
+    with pytest.raises(ParameterError, match="derivative order must be an integer"):
+        dunkl_kernel_dx(0.5, n, 1.3, 0.7)
+    assert dunkl_kernel_dx(0.5, np.int64(2), 1.3, 0.7) == dunkl_kernel_dx(0.5, 2, 1.3, 0.7)
 
 
 def test_kernel_derivative_matches_finite_difference():

@@ -416,3 +416,24 @@ def test_cold_table_build_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (even.nbytes + odd.nbytes)
+
+
+def test_table_pair_is_stored_with_rows_on_the_longer_grid(monkeypatch):
+    # the raw-byte order of this pair's folded grids would put |lam| on the
+    # rows; stored by size, the p != 2 inverse (n_max + 1 columns against the
+    # |lam| classes) reads C order, whichever direction builds the pair
+    k, M, intervals = 0.5, CanonicalMatrix(1.0, 1.0, 0.0, 1.0), ((1.1, 1.9),)
+    prof = bump_profile(k, intervals)
+    lam_a, x_a = prof.lam_rule.fold[0], prof.x_rule.fold[0]
+    assert lam_a.tobytes() < x_a.tobytes() and x_a.size > lam_a.size
+
+    def stored():
+        (pair,) = transform._tables.values()
+        return [(t.shape, t.flags.c_contiguous) for t in pair]
+
+    monkeypatch.setattr(transform, "_tables", {})
+    f, _ = realize_bump(k, M, intervals, prof)  # inverse first
+    assert stored() == [((x_a.size, lam_a.size), True)] * 2
+    transform._tables.clear()
+    lcdt_forward(f, k, M, prof.lam_rule)  # forward first
+    assert stored() == [((x_a.size, lam_a.size), True)] * 2
