@@ -172,8 +172,17 @@ def _atomic_write(path, text):
         raise
 
 
+def _strict(payload):
+    """payload with every non-finite float, at any depth, as "inf", "-inf" or "nan" (strict JSON has none)."""
+    if isinstance(payload, dict):
+        return {key: _strict(val) for key, val in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_strict(val) for val in payload]
+    return str(payload) if isinstance(payload, float) and not math.isfinite(payload) else payload
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return json.dumps(_strict(payload), sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def cmd_transform(cfg, given, out_dir):
@@ -216,10 +225,6 @@ def cmd_estimate(cfg, given, which, out_dir):
         report["support_radius_oracle"] = oracle
     report["sequence_csv"] = "sequence.csv"
     report["config"] = given
-    # infinities are not valid JSON; report them as strings
-    for key, val in list(report.items()):
-        if isinstance(val, float) and math.isinf(val):
-            report[key] = "inf"
     _atomic_write(os.path.join(out_dir, "sequence.csv"), res.sequence.to_csv_text())
     _atomic_write(os.path.join(out_dir, "report.json"), _json_text(report))
     return 0

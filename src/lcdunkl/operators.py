@@ -24,7 +24,7 @@ import numpy as np
 
 from . import transform
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, lp_norm
+from .quadrature import QuadratureRule, SampledFunction, _scaled_lp, lp_norm
 from .specfun import kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
 from .transform import Spectrum, _lcdt_apply, lcdt_forward
@@ -222,34 +222,31 @@ def _scaled_powers(g: Spectrum, log_mult, phase, ns):
 def _folded_lp_norms(g: Spectrum, cols, p, x_rule):
     """L^p norms on x_rule of the inverse transforms of the columns of cols, from the folded sums.
 
-    At x the inverse has modulus |b'|^-(k+1) |ev - i sign(x / b') od| of the
-    class of |x| (b' is the b-entry of g.M^-1; the output chirp has modulus
-    1), so each class gets one weight per sign of x. od vanishes at x = 0;
-    a class without a node of one sign gets weight and value 0. The two
-    signs are read in turn through one complex block and its moduli, and
-    p = 1 and p = inf take no power.
+    At x of class j the inverse has modulus |c| |ev_j - sign(x) s_j|
+    (transform._lcdt_folded), so each class gets one weight per sign of x
+    from x_rule.fold, 0 where it has no node of that sign. The signs are
+    read in turn through one complex block. p = 1 and p = inf take no
+    power; at other p the norm is the l^p norm of the two one-sign norms.
     """
-    Mi = g.M.inverse()
-    chirp = np.exp(0.5j * (Mi.a / Mi.b) * g.rule.nodes**2)[:, None]
-    ev, s = transform._core_folded(g.k, x_rule.fold, g.rule, chirp * cols, 1.0 / Mi.b)
-    s *= math.copysign(1.0, Mi.b) * 1j  # od -> i sign(b') od, in place
-    xa, xinv = x_rule.fold
+    ev, s, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols)
+    _, pos, neg = x_rule.fold
+    w = np.append(x_rule.weights, 0.0)
     block = np.empty_like(ev)
     mags = np.empty(ev.shape)
     norms = np.zeros(ev.shape[1])
-    for combine, side in ((np.subtract, x_rule.nodes >= 0), (np.add, x_rule.nodes < 0)):
-        cls = xinv[side]
+    sides = []
+    for combine, side in ((np.subtract, pos), (np.add, neg)):
         np.abs(combine(ev, s, out=block), out=mags)
-        mags[np.bincount(cls, minlength=xa.size) == 0] = 0.0
+        mags[side == len(x_rule)] = 0.0
         if p == math.inf:
             np.maximum(norms, np.max(mags, axis=0), out=norms)
-            continue
-        if p != 1.0:
-            mags **= p
-        norms += np.bincount(cls, x_rule.weights[side], xa.size) @ mags
-    if p not in (1.0, math.inf):
-        norms **= 1.0 / p
-    return abs(Mi.b) ** -(g.k + 1.0) * norms
+        elif p == 1.0:
+            norms += w[side] @ mags
+        else:
+            sides.append(_scaled_lp(w[side], mags, p))
+    if sides:
+        norms = _scaled_lp(np.ones(2), np.array(sides), p)
+    return abs(c) * norms
 
 
 def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):

@@ -85,13 +85,24 @@ class QuadratureRule:
     def __len__(self):
         return self.nodes.shape[0]
 
+    def payload(self) -> dict:
+        """The rule as JSON data, which from_payload reads back bit for bit."""
+        return {"k": self.k, "X": self.X, "nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
+
+    @classmethod
+    def from_payload(cls, data) -> "QuadratureRule":
+        return cls(np.array(data["nodes"], dtype=np.float64), np.array(data["weights"], dtype=np.float64),
+                   X=data["X"], k=data["k"])
+
     @cached_property
     def fold(self):
-        """Sorted unique |nodes| and each node's class in it, computed once per rule (read-only)."""
-        folded = np.unique(np.abs(self.nodes), return_inverse=True)
-        for a in folded:
-            a.setflags(write=False)
-        return folded
+        """Unique |nodes|, and per class the index of its node >= 0 and of its node < 0 (len(self) if none)."""
+        xa, cls = np.unique(np.abs(self.nodes), return_inverse=True)
+        sides = np.full((2, xa.size), len(self))
+        sides[(self.nodes < 0).astype(np.intp), cls] = np.arange(len(self))
+        xa.setflags(write=False)
+        sides.setflags(write=False)
+        return xa, sides[0], sides[1]
 
 
 def _dunkl_density(k: float, x: np.ndarray) -> np.ndarray:
@@ -205,12 +216,7 @@ class SampledFunction:
     def to_json_text(self) -> str:
         payload = {
             "label": self.label,
-            "rule": {
-                "k": self.rule.k,
-                "X": self.rule.X,
-                "nodes": self.rule.nodes.tolist(),
-                "weights": self.rule.weights.tolist(),
-            },
+            "rule": self.rule.payload(),
             "re": self.values.real.tolist(),
             "im": self.values.imag.tolist(),
         }
@@ -219,19 +225,24 @@ class SampledFunction:
     @classmethod
     def from_json_text(cls, text: str) -> "SampledFunction":
         payload = json.loads(text)
-        rule = QuadratureRule(
-            nodes=np.array(payload["rule"]["nodes"], dtype=np.float64),
-            weights=np.array(payload["rule"]["weights"], dtype=np.float64),
-            X=payload["rule"]["X"],
-            k=payload["rule"]["k"],
-        )
         values = np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"])
-        return cls(rule=rule, values=values, label=payload.get("label", ""))
+        return cls(rule=QuadratureRule.from_payload(payload["rule"]), values=values, label=payload.get("label", ""))
 
 
 def integrate(f: SampledFunction) -> complex:
     """Quadrature integral of f against the Dunkl measure."""
     return complex(np.sum(f.rule.weights * f.values))
+
+
+def _scaled_lp(weights, mags, p: float):
+    """(sum_i weights_i mags_i^p)^(1/p) down the columns of mags (overwritten), 1 < p < inf.
+
+    Scaling each column by its largest entry keeps large p from underflowing or overflowing.
+    """
+    top = np.max(mags, axis=0)
+    np.divide(mags, top, out=mags, where=top > 0)
+    mags **= p
+    return top * (weights @ mags) ** (1.0 / p)
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
@@ -240,7 +251,8 @@ def lp_norm(f: SampledFunction, p: float) -> float:
         return float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if not p >= 1:
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    return float(np.sum(f.rule.weights * np.abs(f.values) ** p) ** (1.0 / p))
+    mags = np.abs(f.values)
+    return float(np.sum(f.rule.weights * mags) if p == 1.0 else _scaled_lp(f.rule.weights, mags, p))
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

@@ -9,8 +9,8 @@ the p = 2 norm sequence of `operators._sequence`.
 Spectral differentiation samples its input through `transform._sampled`,
 as lcdt_forward does: the same tail-bound warnings, and the same refusal
 of rules built for another k. Its plain Dunkl sums come from
-`transform._core_apply` at 1/b with the frequency rule's fold, so they
-read the table pair that lcdt_forward caches for that rule pair and |b|.
+`transform._lcdt_folded` at (0, b; -1/b, 0), on the table pair that
+lcdt_forward caches for the same rule pair and |b|.
 """
 
 import math
@@ -20,9 +20,9 @@ import numpy as np
 from .errors import ParameterError
 from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
-from .specfun import _derivative_order, dunkl_kernel_dx, kval, matval
+from .specfun import CanonicalMatrix, _derivative_order, dunkl_kernel_dx, kval, matval
 from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
-from .transform import _core_apply, _sampled
+from .transform import _lcdt_folded, _sampled, _unfold
 
 __all__ = [
     "sobolev_norm",
@@ -115,7 +115,8 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
     mm = matval(M)
     fs, _ = _sampled(f, kk, lam_rule, x_rule)
     mu = lam_rule.nodes / mm.b
-    gvals = _core_apply(kk, lam_rule.nodes, fs.rule, fs.values, 1.0 / mm.b, lam_rule.fold)
+    ev, s, _ = _lcdt_folded(kk, CanonicalMatrix(0.0, mm.b, -1.0 / mm.b, 0.0), lam_rule, fs.rule, fs.values)
+    gvals = _unfold(lam_rule, ev, s)[:, 0]
     out_rule = x_grid if isinstance(x_grid, QuadratureRule) else None
     xs = out_rule.nodes if out_rule is not None else np.asarray(x_grid, dtype=np.float64)
     kermat = dunkl_kernel_dx(kk, n, mu[:, None], xs[None, :])

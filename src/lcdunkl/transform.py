@@ -14,8 +14,8 @@ its oldest pairs first. A pair is stored C-ordered with its rows on the
 longer folded grid. On bump profiles that is |x|: the inverse of a
 p != 2 norm sequence contracts its n_max + 1 columns against C order,
 and the one-column forward transforms read the transposed view.
-_core_folded returns the even and odd sums on unique|freq| (p != 2 norm
-sequences read their norms off these), and _core_apply unfolds them.
+_lcdt_folded is the one LCDT core; _lcdt_apply unfolds it onto output
+nodes, and p != 2 norm sequences read their norms off it unfolded.
 
 Every route that takes function input (lcdt_forward,
 chirp_factorized_forward, sobolev.derivative_via_spectrum) gets its
@@ -23,8 +23,9 @@ samples from _sampled: it samples a SymExpr on the x rule and raises the
 tail-bound AccuracyWarnings, passes a SampledFunction through, and
 refuses rules built for another Dunkl parameter k. All three contract on
 the same table pair, keyed on unique|lam| x unique|x| at |b| with the
-lam rule's fold: the chirp route as _lcdt_apply at (0, b; -1/b, d), the
-spectral derivatives as _core_apply at 1/b.
+lam rule's classes: the chirp route as _lcdt_apply at (0, b; -1/b, d),
+the spectral derivatives as _lcdt_folded at (0, b; -1/b, 0), where both
+chirps are 1.
 """
 
 import json
@@ -89,12 +90,7 @@ class Spectrum:
 
     def to_json_text(self) -> str:
         payload = self.metadata()
-        payload["rule"] = {
-            "k": self.rule.k,
-            "X": self.rule.X,
-            "nodes": self.rule.nodes.tolist(),
-            "weights": self.rule.weights.tolist(),
-        }
+        payload["rule"] = self.rule.payload()
         payload["re"] = self.values.real.tolist()
         payload["im"] = self.values.imag.tolist()
         return json.dumps(payload, sort_keys=True)
@@ -102,15 +98,9 @@ class Spectrum:
     @classmethod
     def from_json_text(cls, text: str) -> "Spectrum":
         payload = json.loads(text)
-        rule = QuadratureRule(
-            nodes=np.array(payload["rule"]["nodes"], dtype=np.float64),
-            weights=np.array(payload["rule"]["weights"], dtype=np.float64),
-            X=payload["rule"]["X"],
-            k=payload["rule"]["k"],
-        )
         m = payload["matrix"]
         return cls(
-            rule=rule,
+            rule=QuadratureRule.from_payload(payload["rule"]),
             values=np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"]),
             k=payload["k"],
             M=CanonicalMatrix(m["a"], m["b"], m["c"], m["d"]),
@@ -153,39 +143,39 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     return (got[0].T, got[1].T) if swap else got
 
 
-def _fold_columns(inv: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
-    """Sums of the rows of v over the n fold classes of inv, as (re, im) column pairs."""
-    r = np.ascontiguousarray(v, dtype=np.complex128).reshape(inv.size, -1).view(np.float64)
-    c = r.shape[1]
-    return np.bincount((inv[:, None] * c + np.arange(c)).ravel(), r.ravel(), n * c).reshape(n, c)
+def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
+    """The LCDT at M of samples fvals on rule, folded onto the classes of out_rule: (ev, s, c).
 
-
-def _core_folded(k: float, fold, rule: QuadratureRule, fvals: np.ndarray, inv_b: float):
-    """Even and odd parts ev, od of sum_j w_j f_j E_k(-i freq inv_b, x_j) on unique|freq|.
-
-    fold is (unique|freq|, class of each freq). fvals is a vector or an
-    (n_x, m) block, whose columns are transformed together. w f folds onto
-    unique|x| as an even sum and a sign(x)-weighted odd sum; each meets
-    its real table in one GEMM against (re, im) columns, leaving out the
-    leading and trailing classes whose folded input is zero in every
-    column (exact). The transform at freq is ev - i sign(freq inv_b) od.
+    fvals is a vector or an (n_x, m) block of columns. At an output node y
+    of class j the transform is c e^{i d y^2/(2b)} (ev_j - sign(y) s_j): ev
+    holds the even sums, s the odd sums times i sign(b), c = (ib)^(-(k+1)).
+    The chirped, weighted input folds onto unique|x| (two gathers through
+    rule.fold) and meets each real table in one GEMM, leaving out the outer
+    classes whose folded input is zero in every column (exact). The odd
+    table vanishes where |x| or |y| is 0, so a node at 0 joins the even sums only.
     """
-    xa, xinv = rule.fold
-    wf = rule.weights[:, None] * fvals.reshape(rule.nodes.size, -1)
-    fe = _fold_columns(xinv, xa.size, wf)
-    fo = _fold_columns(xinv, xa.size, np.sign(rule.nodes)[:, None] * wf)
+    xa, pos, neg = rule.fold
+    x = rule.nodes
+    chirp = np.exp(0.5j * (M.a / M.b) * x * x)[:, None]
+    wf = np.zeros((x.size + 1, fvals.size // x.size), dtype=np.complex128)  # last row: a missing node
+    np.multiply(rule.weights[:, None], chirp * fvals.reshape(x.size, -1), out=wf[:-1])
+    fe, fo = wf[neg] + wf[pos], wf[pos] - wf[neg]
     held = np.flatnonzero(np.any(fe, axis=1) | np.any(fo, axis=1))
     cut = slice(held[0], held[-1] + 1) if held.size else slice(0, 0)
-    even, odd = _bessel_tables(k, fold[0], xa, 1.0 / abs(inv_b))
-    return (even[:, cut] @ fe[cut]).view(np.complex128), (odd[:, cut] @ fo[cut]).view(np.complex128)
+    # |b| as 1/|1/b|, the key the cached pairs have always been built under
+    even, odd = _bessel_tables(k, out_rule.fold[0], xa, 1.0 / abs(1.0 / M.b))
+    ev = (even[:, cut] @ fe[cut].view(np.float64)).view(np.complex128)
+    s = (odd[:, cut] @ fo[cut].view(np.float64)).view(np.complex128)
+    s *= math.copysign(1.0, M.b) * 1j
+    return ev, s, principal_power(1j * M.b, -(k + 1.0))
 
 
-def _core_apply(k: float, freqs: np.ndarray, rule: QuadratureRule, fvals: np.ndarray, inv_b: float, fold):
-    """_core_folded unfolded onto freqs, whose fold (unique|freqs|, class of each) is given."""
-    ev, od = _core_folded(k, fold, rule, fvals, inv_b)
-    finv = fold[1]
-    out = ev[finv] - 1j * np.sign(freqs * inv_b)[:, None] * od[finv]
-    return out.reshape(freqs.shape + fvals.shape[1:])
+def _unfold(out_rule: QuadratureRule, ev: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ev_j - sign(y) s_j at each node y of out_rule, j the class of |y| (one row per node)."""
+    _, pos, neg = out_rule.fold
+    out = np.empty((len(out_rule) + 1, ev.shape[1]), dtype=np.complex128)
+    out[pos], out[neg] = ev - s, ev + s
+    return out[:-1]
 
 
 def _sampled(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | None):
@@ -246,16 +236,11 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
 
 
 def _lcdt_apply(k: float, M: CanonicalMatrix, lam_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
-    """(ib)^(-(k+1)) e^{i d lam^2/(2b)} core(e^{i a x^2/(2b)} f) at the nodes lam of lam_rule.
-
-    fvals is a vector of samples on rule or an (n_x, m) block of columns.
-    """
-    x, lam = rule.nodes, lam_rule.nodes
-    col = (slice(None),) + (None,) * (fvals.ndim - 1)
-    chirp_x = np.exp(0.5j * (M.a / M.b) * x * x)[col]
-    chirp_l = np.exp(0.5j * (M.d / M.b) * lam * lam)[col]
-    core = _core_apply(k, lam, rule, chirp_x * fvals, 1.0 / M.b, lam_rule.fold)
-    return principal_power(1j * M.b, -(k + 1.0)) * chirp_l * core
+    """_lcdt_folded unfolded onto the nodes lam of lam_rule; fvals is a vector or an (n_x, m) block."""
+    ev, s, c = _lcdt_folded(k, M, lam_rule, rule, fvals)
+    lam = lam_rule.nodes
+    chirp = np.exp(0.5j * (M.d / M.b) * lam * lam)[(slice(None),) + (None,) * (fvals.ndim - 1)]
+    return c * chirp * _unfold(lam_rule, ev, s).reshape(lam.shape + fvals.shape[1:])
 
 
 def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | None = None) -> "Spectrum":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import lcdunkl
-from lcdunkl import transform
+from lcdunkl import cli, transform
 from lcdunkl.cli import main
 from lcdunkl.errors import AccuracyWarning
 
@@ -174,6 +175,21 @@ def test_infinite_p_report_is_strict_json(tmp_path):
     report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
     assert report["p"] == "inf"
     assert report["config"]["estimator"]["p"] == "inf"
+
+
+def test_report_writes_nonfinite_values_as_strings(tmp_path):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = {"a": math.nan, "b": [1.5, -math.inf], "c": {"d": math.inf, "e": (math.nan,)}}
+    assert json.loads(cli._json_text(payload), parse_constant=refuse) == {
+        "a": "nan", "b": [1.5, "-inf"], "c": {"d": "inf", "e": ["nan"]}}
+    # at p = 1000 the compact report held NaN values while its L^p sums underflowed
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, {"estimator": {"p": 1000.0}})
+    assert main(["estimate", "--which", "compact", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["compact"] and report["sigma2_hat"] == pytest.approx(4.0, rel=0.02)
 
 
 def test_estimate_sigma_bump(tmp_path):

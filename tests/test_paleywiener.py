@@ -245,18 +245,26 @@ def test_estimators_bound_n_max(pipe12, n_max):
 def test_one_contraction_per_norm_sequence(pipe12, monkeypatch):
     prof, f, spec = pipe12
     calls = []
-    core_folded = transform._core_folded
+    lcdt_folded = transform._lcdt_folded
 
     def counted(*args):
-        calls.append(args[3].shape)
-        return core_folded(*args)
+        calls.append(args[4].shape)
+        return lcdt_folded(*args)
 
-    monkeypatch.setattr(transform, "_core_folded", counted)
+    monkeypatch.setattr(transform, "_lcdt_folded", counted)
     compact_spectrum_test(spec, K, M_SHEAR, p=1.0, n_max=40, x_rule=prof.x_rule)
     assert calls == [(len(prof.lam_rule), 41)]
     calls.clear()
     estimate_sigma(f, K, M_SHEAR, p=math.inf, n_max=30, method="root", lam_rule=prof.lam_rule)
     assert calls == [(len(prof.x_rule),), (len(prof.lam_rule), 31)]
+
+
+def test_sigma_at_large_finite_p(pipe12):
+    # |h_n|^p underflows a double from p ~ 500 on unless each column is scaled
+    prof, f, _ = pipe12
+    for p in (400.0, 1000.0):
+        est = estimate_sigma(f, K, M_SHEAR, p=p, n_max=30, method="ratio", lam_rule=prof.lam_rule)
+        assert est.converged and est.sigma_hat == pytest.approx(2.0, rel=0.02)
 
 
 def test_p_not_2_norms_never_unfold(pipe12, monkeypatch):
@@ -265,7 +273,7 @@ def test_p_not_2_norms_never_unfold(pipe12, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a p != 2 norm sequence unfolded its inverse block")
 
-    monkeypatch.setattr(transform, "_core_apply", refuse)
+    monkeypatch.setattr(transform, "_unfold", refuse)
     P = RealPolynomial((0.0, 0.0, 0.25))
     for p in (1.0, 3.0, math.inf):
         compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=10, x_rule=prof.x_rule)
@@ -300,7 +308,7 @@ def test_p_checked_before_the_contraction(pipe12, monkeypatch):
     def refuse(*args):
         raise AssertionError("contraction ran before p was checked")
 
-    monkeypatch.setattr(transform, "_core_folded", refuse)
+    monkeypatch.setattr(transform, "_lcdt_folded", refuse)
     for p in (0.5, math.nan):
         with pytest.raises(ParameterError, match="p must"):
             compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=40, x_rule=prof.x_rule)

@@ -91,6 +91,21 @@ def test_lp_norms():
         lp_norm(f, 0.5)
 
 
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+def test_lp_norm_at_large_p_against_log_space(scale):
+    # |f|^p leaves the double range from p ~ 500 on (0.25^1000 underflows,
+    # 4^1000 overflows); the norm itself does not
+    rule = build_rule(0.5, 9.0, 72, 16)
+    x = rule.nodes
+    f = SampledFunction(rule, scale * (1.0 + 0.5j) * (1.0 + x) * np.exp(-x * x / 2))
+    keep = np.abs(f.values) > 0
+    for p in (500.0, 1000.0, 1e6):
+        a = np.log(rule.weights[keep]) + p * np.log(np.abs(f.values[keep]))
+        top = np.max(a)
+        want = math.exp((top + math.log(np.sum(np.exp(a - top)))) / p)
+        assert lp_norm(f, p) == pytest.approx(want, rel=1e-12)
+
+
 def test_inner_product():
     rule = build_rule(0.0, 9.0, 36, 16)
     f = SampledFunction(rule, np.exp(-rule.nodes**2 / 2))

@@ -8,6 +8,7 @@ import pytest
 from lcdunkl import specfun, transform
 from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning, ParameterError
+from lcdunkl.operators import norm_sequence
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
 from lcdunkl.sobolev import derivative_via_spectrum
 from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_dx, principal_power
@@ -76,8 +77,10 @@ def test_fourier_matrix_reduces_to_dunkl(k):
     f = gaussian(-0.5, m=1, coeff=0.4 + 1j)
     lcdt = lcdt_forward(f, k, M_FOURIER, lam_rule, x_rule=x_rule)
     dunkl = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
-    plain = transform._core_apply(k, lam_rule.nodes, x_rule, evaluate(f, x_rule.nodes), 1.0, lam_rule.fold)
+    ev, s, c = transform._lcdt_folded(k, M_FOURIER, lam_rule, x_rule, evaluate(f, x_rule.nodes))
+    plain = transform._unfold(lam_rule, ev, s)[:, 0]
     pref = principal_power(1j, -(k + 1.0))
+    assert c == pref
     assert dunkl.M == M_FOURIER
     assert np.max(np.abs(dunkl.values - lcdt.values)) <= 1e-12
     assert np.max(np.abs(lcdt.values - pref * plain)) <= 1e-9
@@ -302,13 +305,34 @@ def test_folded_inverse_of_banded_spectrum_matches_dense_sums(M):
     assert_close(lcdt_inverse(g, prof.x_rule).values, dense_lcdt(vals, M.inverse(), prof.x_rule, prof.lam_rule))
 
 
-def test_folded_values_at_asymmetric_unsorted_frequencies():
+def with_node_at_zero(rule):
+    # one more node, at 0; its weight comes off the innermost pair, so the Gaussian mass holds
+    m = rule.nodes.size // 2
+    w0 = 0.5 * rule.weights[m]
+    weights = rule.weights.copy()
+    weights[[m - 1, m]] -= 0.5 * w0 * math.exp(rule.nodes[m] ** 2)
+    return QuadratureRule(np.insert(rule.nodes, m, 0.0), np.insert(weights, m, w0), rule.X, rule.k)
+
+
+@pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
+def test_rule_with_a_node_at_zero_matches_dense_sums(M):
+    # the zero class joins the even sum only, and the >= 0 side of the L^p fold;
+    # the odd-count rule is the x rule once and the lam rule once
     prof = small_profile()
-    f = neither_even_nor_odd(prof.x_rule)
-    freqs = np.array([1.3, -0.4, 0.0, 2.9, -2.9, 0.7, -5.1, 0.4])
-    want = dunkl_kernel_dx(FOLD_K, 0, -freqs[:, None], f.rule.nodes) @ (f.rule.weights * f.values)
-    fold = np.unique(np.abs(freqs), return_inverse=True)
-    assert_close(transform._core_apply(FOLD_K, freqs, f.rule, f.values, 1.0, fold), want)
+    for x_rule, lam_rule in ((with_node_at_zero(prof.x_rule), prof.lam_rule),
+                             (prof.x_rule, with_node_at_zero(prof.lam_rule))):
+        f = neither_even_nor_odd(x_rule)
+        assert_close(lcdt_forward(f, FOLD_K, M, lam_rule).values, dense_lcdt(f.values, M, lam_rule, x_rule))
+        g = Spectrum(lam_rule, neither_even_nor_odd(lam_rule).values, FOLD_K, M)
+        back = lcdt_inverse(g, x_rule)
+        assert_close(back.values, dense_lcdt(g.values, M.inverse(), x_rule, lam_rule))
+        mu = lam_rule.nodes / M.b
+        for p in (1.0, math.inf):
+            seq = norm_sequence(g, FOLD_K, M, p, 4, x_rule=x_rule)
+            for n in range(5):
+                h = np.abs(dense_lcdt((1j * mu) ** n * g.values, M.inverse(), x_rule, lam_rule))
+                want = np.max(h) if p == math.inf else np.sum(x_rule.weights * h)
+                assert seq.lognorm[n] == pytest.approx(math.log(want), abs=1e-12)
 
 
 @pytest.mark.parametrize("M", [M_BPOS, M_BNEG])
