@@ -11,8 +11,8 @@ and of the heat flow are defined here once, as mu -> (log|m|, m/|m|):
 every estimator) takes the log-norms of inverse(m^n g), n <= n_max. At
 p = 2 those stay spectral (Parseval); at p != 2 the n_max + 1
 multiplied spectra meet the kernel tables in one folded contraction,
-and the L^p norms are summed over the classes of |x| without unfolding
-the inverses.
+run by row blocks, and the L^p norms are summed over the classes of |x|
+as each block lands, without unfolding the inverses.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import transform
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, _scaled_lp, lp_norm
+from .quadrature import QuadratureRule, SampledFunction, lp_norm
 from .specfun import kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
 from .transform import Spectrum, _lcdt_apply, lcdt_forward
@@ -47,6 +47,8 @@ SERIES_TAIL_TOL = 1e-12
 SERIES_Q_MAX = 21.0
 EDGE_WARN_FRACTION = 1e-8
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# output classes per block of the p != 2 fold: at MAX_N_SPECTRAL its GEMM outputs stay under 128 KiB
+_FOLD_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -224,28 +226,33 @@ def _folded_lp_norms(g: Spectrum, cols, p, x_rule):
 
     At x of class j the inverse has modulus |c| |ev_j - sign(x) s_j|
     (transform._lcdt_folded), so each class gets one weight per sign of x
-    from x_rule.fold, 0 where it has no node of that sign. The signs are
-    read in turn through one complex block. p = 1 and p = inf take no
-    power; at other p the norm is the l^p norm of the two one-sign norms.
+    from x_rule.fold, 0 where it has no node of that sign. The sums come in
+    blocks of _FOLD_ROWS classes and reduce into the norms as each lands:
+    p = 1 and p = inf take no power; at other p each column keeps a running
+    scale, its largest modulus so far, so that large p neither underflows
+    nor overflows.
     """
-    ev, s, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols)
+    blocks, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols, _FOLD_ROWS)
     _, pos, neg = x_rule.fold
     w = np.append(x_rule.weights, 0.0)
-    block = np.empty_like(ev)
-    mags = np.empty(ev.shape)
-    norms = np.zeros(ev.shape[1])
-    sides = []
-    for combine, side in ((np.subtract, pos), (np.add, neg)):
-        np.abs(combine(ev, s, out=block), out=mags)
-        mags[side == len(x_rule)] = 0.0
-        if p == math.inf:
-            np.maximum(norms, np.max(mags, axis=0), out=norms)
-        elif p == 1.0:
-            norms += w[side] @ mags
-        else:
-            sides.append(_scaled_lp(w[side], mags, p))
-    if sides:
-        norms = _scaled_lp(np.ones(2), np.array(sides), p)
+    norms, top = np.zeros(cols.shape[1]), np.zeros(cols.shape[1])
+    for rows, ev, s in blocks:
+        for combine, side in ((np.subtract, pos[rows]), (np.add, neg[rows])):
+            mags = np.abs(combine(ev, s))
+            mags[side == len(x_rule)] = 0.0
+            if p == math.inf:
+                np.maximum(norms, np.max(mags, axis=0), out=norms)
+            elif p == 1.0:
+                norms += w[side] @ mags
+            else:
+                new = np.maximum(top, np.max(mags, axis=0))
+                live = new > 0
+                norms[live] *= (top[live] / new[live]) ** p
+                np.divide(mags, new, out=mags, where=live)
+                norms += w[side] @ mags**p
+                top = new
+    if 1.0 < p < math.inf:
+        norms = top * norms ** (1.0 / p)
     return abs(c) * norms
 
 

@@ -9,7 +9,7 @@ and the others Gauss-Legendre, on which the density is smooth.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,13 @@ def gaussian_mass_closed_form(k: float, X: float) -> float:
     substitution u = x^2.
     """
     return regularized_gamma(k + 1.0, X * X)[0] / 2.0 ** (k + 1.0)
+
+
+def _fields_equal(a, b) -> bool:
+    """a == b for dataclasses of one type, field by field, array fields by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
+        for u, v in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
 
 
 @dataclass(frozen=True)
@@ -73,14 +80,7 @@ class QuadratureRule:
                 "increase panels or nodes_per_panel"
             )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadratureRule)
-            and self.k == other.k
-            and self.X == other.X
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-        )
+    __eq__ = _fields_equal
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -205,6 +205,8 @@ class SampledFunction:
         if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
             raise ParameterError("sampled values must be finite")
         object.__setattr__(self, "values", values)
+
+    __eq__ = _fields_equal
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

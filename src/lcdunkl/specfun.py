@@ -7,10 +7,12 @@ J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
 1986), through spherical_jn at half-integer orders; scipy is imported by
 the first call that reaches that branch. j_{-1/2} is cos.
 
-The transform's kernel tables come from ``_bessel_j_tables``: at every
-order but -1/2, it runs ``bessel_j_grid`` only at Chebyshev points on
-panels of width at most 1/2 and sums each panel's series over the table.
-cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
+The transform's kernel tables are piecewise Chebyshev interpolants: at
+every order but -1/2, ``_panel_series`` runs ``bessel_j_grid`` only at
+Chebyshev points on panels of width at most 1/2, and ``_clenshaw`` sums
+each panel's series over the table, in place and point by point, so a
+table can be filled block by block (``_bessel_j_tables`` fills whole
+ones). cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
 ``bessel_j_norm`` and ``dunkl_kernel_dx``, whose n = 0 terms are the one
 kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 ``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
@@ -209,42 +211,51 @@ _TO_COEFFS = np.cos(np.outer(np.arange(PANEL_NODES), _THETA)) * (2.0 / PANEL_NOD
 _TO_COEFFS[0] *= 0.5
 
 
-def _bessel_j_tables(orders, u) -> list:
-    """[j_nu(u) for nu in orders], interpolated at every order but -1/2.
+def _panel_series(nu: float, u: np.ndarray):
+    """(c, umax): j_nu on [0, umax = max|u|] as (degree, panel) Chebyshev coefficients c.
 
-    Where u holds more points than the panel nodes, bessel_j_grid runs only
-    at PANEL_NODES Chebyshev points on each of ceil(max|u| / PANEL_WIDTH)
-    equal panels over [0, max|u|], and a Clenshaw sum of each panel's
-    series fills the table in chunks of _CHUNK points. nu = -1/2 (cos is
-    exact; the sum loses ~1e-13 to argument reduction near |u| = 2000)
-    and small tables get bessel_j_grid itself.
+    The ceil(umax / PANEL_WIDTH) equal panels each cost bessel_j_grid at
+    PANEL_NODES points. None where u gets bessel_j_grid itself: at nu = -1/2
+    (cos is exact; the sum loses ~1e-13 to argument reduction near |u| =
+    2000), at no more points than panel nodes, and at zero, non-finite or
+    out-of-range max|u| (which it rejects).
     """
-    orders = [float(nu) for nu in orders]
-    u = np.asarray(u, dtype=np.float64)
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
-    # zero, non-finite or out-of-range arguments go to bessel_j_grid, which rejects the latter
+    umax = float(max(u.max(initial=0.0), -u.min(initial=0.0)))  # NaN if any; no |u| temporary
     n = math.ceil(umax / PANEL_WIDTH) if 0.0 < umax <= U_MAX else 0
-    fit = [i for i, nu in enumerate(orders) if nu != -0.5]
-    if not fit or n == 0 or u.size <= n * PANEL_NODES:
-        return [bessel_j_grid(nu, u) for nu in orders]
-    out = [np.empty(u.shape) if i in fit else bessel_j_grid(nu, u) for i, nu in enumerate(orders)]
+    if nu == -0.5 or n == 0 or u.size <= n * PANEL_NODES:
+        return None
     nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (umax / n)
-    # (degree, panel) coefficient rows, so each degree is one 1-D gather
-    coeffs = {i: _TO_COEFFS @ bessel_j_grid(orders[i], nodes).T for i in fit}
-    flat = u.reshape(-1)
+    return _TO_COEFFS @ bessel_j_grid(nu, nodes).T, umax  # one row per degree, so each is one 1-D gather
+
+
+def _clenshaw(series, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (C-contiguous, u's shape) with a _panel_series at |u|, |u| within its umax.
+
+    One Clenshaw sum per point, in chunks of _CHUNK points. A value depends
+    on its point and the series alone, so block by block fills bit for bit.
+    """
+    c, umax = series
+    n = c.shape[1]
+    flat, dst = u.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
         y = np.abs(flat[lo:lo + _CHUNK])
         y *= n / umax
         panel = np.minimum(y.astype(np.intp), n - 1)
         s = 2.0 * (y - panel) - 1.0
         s2 = 2.0 * s
-        for i in fit:
-            c = coeffs[i]
-            b1, b2 = c[-1].take(panel), 0.0
-            for d in range(PANEL_NODES - 2, 0, -1):
-                b1, b2 = s2 * b1 - b2 + c[d].take(panel), b1
-            out[i].reshape(-1)[lo:lo + _CHUNK] = s * b1 - b2 + c[0].take(panel)
+        b1, b2 = c[-1].take(panel), 0.0
+        for d in range(PANEL_NODES - 2, 0, -1):
+            b1, b2 = s2 * b1 - b2 + c[d].take(panel), b1
+        dst[lo:lo + _CHUNK] = s * b1 - b2 + c[0].take(panel)
     return out
+
+
+def _bessel_j_tables(orders, u) -> list:
+    """[j_nu(u) for nu in orders]: _clenshaw on a _panel_series, or bessel_j_grid where there is none."""
+    u = np.asarray(u, dtype=np.float64)
+    series = [_panel_series(float(nu), u) for nu in orders]
+    return [bessel_j_grid(nu, u) if sr is None else _clenshaw(sr, u, np.empty(u.shape))
+            for nu, sr in zip(orders, series)]
 
 
 def bessel_j_norm(k, x: float) -> float:

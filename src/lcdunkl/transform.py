@@ -7,15 +7,16 @@ even in mu x plus a part odd in it, so both parts are tabulated on the
 folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
 factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
 rules that quarters the table. At every order but -1/2 (cos), the
-tables are piecewise Chebyshev interpolants (specfun._bessel_j_tables)
-under the same accuracy contract. One cached pair serves both directions
+tables are piecewise Chebyshev interpolants (specfun._clenshaw) under
+the same accuracy contract, filled so that a build peaks near the 16
+bytes per entry of the pair. One cached pair serves both directions
 of a grid pair, and the cache holds at most TABLE_BUDGET bytes, dropping
 its oldest pairs first. A pair is stored C-ordered with its rows on the
 longer folded grid. On bump profiles that is |x|: the inverse of a
 p != 2 norm sequence contracts its n_max + 1 columns against C order,
 and the one-column forward transforms read the transposed view.
 _lcdt_folded is the one LCDT core; _lcdt_apply unfolds it onto output
-nodes, and p != 2 norm sequences read their norms off it unfolded.
+nodes, and p != 2 norm sequences read their norms off its row blocks.
 
 Every route that takes function input (lcdt_forward,
 chirp_factorized_forward, sobolev.derivative_via_spectrum) gets its
@@ -36,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyWarning, ParameterError
-from .quadrature import QuadratureRule, SampledFunction
-from .specfun import CanonicalMatrix, _bessel_j_tables, kval, matval, principal_power, regularized_gamma
+from .quadrature import QuadratureRule, SampledFunction, _fields_equal
+from .specfun import (_CHUNK, CanonicalMatrix, _bessel_j_tables, _clenshaw, _panel_series, bessel_j_grid, kval, matval,
+                      principal_power, regularized_gamma)
 from .symfun import SymExpr, evaluate, gaussian
 
 __all__ = [
@@ -70,6 +72,8 @@ class Spectrum:
         if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
             raise ParameterError("spectrum values must be finite")
         object.__setattr__(self, "values", values)
+
+    __eq__ = _fields_equal
 
     def as_sampled(self) -> SampledFunction:
         return SampledFunction(self.rule, self.values, label=self.label)
@@ -122,16 +126,30 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     fa and xa are sorted unique magnitudes. Both orientations of a grid
     pair share one cached pair of tables, stored C-ordered with its rows on
     the longer grid (on the smaller bytes at equal lengths); the other
-    orientation reads the transposed view.
+    orientation reads the transposed view. Where j_{k+1} is interpolated,
+    t goes once j_k is filled, and the odd table is filled by row blocks of
+    about _CHUNK entries of t, recomputed bit for bit (README "Backends").
     """
     ka, kb = fa.tobytes(), xa.tobytes()
     swap = ka > kb if fa.size == xa.size else xa.size > fa.size
     key = (k, absb, kb, ka) if swap else (k, absb, ka, kb)
     got = _tables.get(key)
     if got is None:
-        t = np.multiply.outer(*((xa, fa) if swap else (fa, xa))) / absb
-        even, odd = _bessel_j_tables((k, k + 1.0), t)
-        odd *= t
+        rows, cols = (xa, fa) if swap else (fa, xa)
+        t = np.multiply.outer(rows, cols) / absb
+        (even,) = _bessel_j_tables((k,), t)
+        series = _panel_series(k + 1.0, t)
+        if series is None:
+            odd = bessel_j_grid(k + 1.0, t)
+            odd *= t
+        else:
+            del t
+            odd = np.empty(even.shape)
+            step = max(1, _CHUNK // cols.size)
+            for lo in range(0, rows.size, step):
+                t = np.multiply.outer(rows[lo:lo + step], cols) / absb
+                _clenshaw(series, t, odd[lo:lo + step])
+                odd[lo:lo + step] *= t
         odd *= 0.5 / (k + 1.0)
         got = (even, odd)
         size = sum(a.nbytes for a in got)
@@ -143,7 +161,8 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     return (got[0].T, got[1].T) if swap else got
 
 
-def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
+def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray,
+                 step=None):
     """The LCDT at M of samples fvals on rule, folded onto the classes of out_rule: (ev, s, c).
 
     fvals is a vector or an (n_x, m) block of columns. At an output node y
@@ -153,6 +172,9 @@ def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: Q
     rule.fold) and meets each real table in one GEMM, leaving out the outer
     classes whose folded input is zero in every column (exact). The odd
     table vanishes where |x| or |y| is 0, so a node at 0 joins the even sums only.
+    With step, the input is prepared once and the GEMMs run step output
+    classes at a time: (blocks, c) comes back, blocks yielding (rows, ev, s)
+    for the slice rows of the classes, in order.
     """
     xa, pos, neg = rule.fold
     x = rule.nodes
@@ -164,10 +186,19 @@ def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: Q
     cut = slice(held[0], held[-1] + 1) if held.size else slice(0, 0)
     # |b| as 1/|1/b|, the key the cached pairs have always been built under
     even, odd = _bessel_tables(k, out_rule.fold[0], xa, 1.0 / abs(1.0 / M.b))
-    ev = (even[:, cut] @ fe[cut].view(np.float64)).view(np.complex128)
-    s = (odd[:, cut] @ fo[cut].view(np.float64)).view(np.complex128)
-    s *= math.copysign(1.0, M.b) * 1j
-    return ev, s, principal_power(1j * M.b, -(k + 1.0))
+    fe, fo = fe[cut].view(np.float64), fo[cut].view(np.float64)
+
+    def sums(rows):
+        ev = (even[rows, cut] @ fe).view(np.complex128)
+        s = (odd[rows, cut] @ fo).view(np.complex128)
+        s *= math.copysign(1.0, M.b) * 1j
+        return ev, s
+
+    c = principal_power(1j * M.b, -(k + 1.0))
+    if step is None:
+        return (*sums(slice(None)), c)
+    blocks = (slice(lo, lo + step) for lo in range(0, even.shape[0], step))
+    return ((rows, *sums(rows)) for rows in blocks), c
 
 
 def _unfold(out_rule: QuadratureRule, ev: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -192,6 +192,16 @@ def test_report_writes_nonfinite_values_as_strings(tmp_path):
     assert report["compact"] and report["sigma2_hat"] == pytest.approx(4.0, rel=0.02)
 
 
+def test_estimate_sigma_at_p_1000(tmp_path):
+    # the p != 2 fold runs by row blocks with a running per-column scale; the
+    # default config's sigma at p = 1000 reads as the whole-column scaling did
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, {"estimator": {"p": 1000.0}})
+    assert main(["estimate", "--which", "sigma", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] and report["sigma_hat"] == pytest.approx(2.0365205306237875, rel=1e-12)
+
+
 def test_estimate_sigma_bump(tmp_path):
     out = tmp_path / "run"
     assert main(["estimate", "--which", "sigma", "--out", str(out)]) == 0

@@ -4,16 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lcdunkl import transform
 from lcdunkl.corpus import bump_profile, bump_spectrum, bump_spectrum_values, gauss_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
 from lcdunkl.operators import (
+    _FOLD_ROWS,
     RealPolynomial,
     _apply_multiplier,
+    _folded_lp_norms,
     _mult_heat,
     _mult_i,
     _mult_laplacian,
     _mult_poly,
     _multiplier_lognorms,
+    _scaled_powers,
     apply_poly_op,
     apply_power_spectral,
     heat_semigroup,
@@ -26,7 +30,7 @@ from lcdunkl.paleywiener import (
     poly_domain_test,
     vanishing_interval_detect,
 )
-from lcdunkl.quadrature import QuadratureRule, SampledFunction, gaussian_mass_closed_form, lp_norm
+from lcdunkl.quadrature import QuadratureRule, SampledFunction, _scaled_lp, gaussian_mass_closed_form, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
 from lcdunkl.transform import Spectrum, lcdt_forward, lcdt_inverse
@@ -399,3 +403,60 @@ def test_folded_lp_norms_hold_no_stacked_copies(p):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * outputs
+
+
+def _bump_pair():
+    profb = bump_profile(K, ((1.0, 2.0),), b=1.0)
+    return bump_spectrum(K, M_SHEAR, ((1.0, 2.0),), profb), profb.x_rule
+
+
+def _dense_fold_norms(g, cols, p, x_rule):
+    """Reference for _folded_lp_norms: one GEMM per table over the whole pair, both signs stacked."""
+    ev, s, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols)
+    _, pos, neg = x_rule.fold
+    side = np.concatenate([pos, neg])
+    mags = np.abs(np.concatenate([ev - s, ev + s]))
+    mags[side == len(x_rule)] = 0.0
+    if p == math.inf:
+        return abs(c) * np.max(mags, axis=0)
+    return abs(c) * _scaled_lp(np.append(x_rule.weights, 0.0)[side], mags, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1000.0, math.inf])
+def test_blocked_fold_matches_one_dense_contraction(prof, p):
+    # the fold reduces row blocks of the folded sums as they land; the norms
+    # are those of the whole contraction, exactly at p = inf. The shifted
+    # Gaussian peaks at |x| = 4.5, past the first block, so the running
+    # scale of 1 < p < inf grows after the first block
+    gauss = lcdt_forward(gaussian(-0.5 + 0.3j), K, M_ROT, prof.lam_rule, x_rule=prof.x_rule)
+    shifted = lcdt_forward(gaussian(-1.0, 9.0, coeff=math.exp(-20.25)), K, M_ROT, prof.lam_rule, x_rule=prof.x_rule)
+    assert prof.x_rule.fold[0][_FOLD_ROWS] < 4.5
+    for g, x_rule in ((gauss, prof.x_rule), (shifted, prof.x_rule), _bump_pair()):
+        assert x_rule.fold[0].size > 2 * _FOLD_ROWS
+        log_mult, phase = _mult_i(g.rule.nodes / g.M.b)
+        for ns in ([5], np.arange(61)):
+            cols, _ = _scaled_powers(g, log_mult, phase, ns)
+            got = _folded_lp_norms(g, cols, p, x_rule)
+            want = _dense_fold_norms(g, cols, p, x_rule)
+            assert np.all(want > 0)
+            if p == math.inf:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_warm_fold_holds_one_row_block(p):
+    # no (|x| classes x (n_max + 1)) sums, moduli or powers exist: a warm
+    # 41-column fold on the 3120 x 528 bump pair peaks at the prepared input
+    # and one block, where the whole contraction's outputs took 3.45 MiB
+    spec, x_rule = _bump_pair()
+    cols, _ = _scaled_powers(spec, *_mult_i(spec.rule.nodes / M_SHEAR.b), np.arange(41))
+    _folded_lp_norms(spec, cols, p, x_rule)  # warm: the table pair is cached
+    tracemalloc.start()
+    try:
+        _folded_lp_norms(spec, cols, p, x_rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20

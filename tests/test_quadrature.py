@@ -167,6 +167,21 @@ def test_json_round_trip_bit_exact():
     assert g.to_json_text() == f.to_json_text()
 
 
+def test_sampled_functions_compare_by_value():
+    # the dataclass __eq__ compared the value arrays and raised "truth value
+    # of an array is ambiguous", in == and in list membership alike
+    rule = build_rule(0.5, 7.0, 16, 10)
+    f = SampledFunction(rule, np.exp(-rule.nodes**2) * (1.3 + 0.7j), label="probe")
+    g = SampledFunction.from_json_text(f.to_json_text())
+    assert g == f and g in [f] and not g != f
+    vals = f.values.copy()
+    vals[3] += 1e-12j
+    assert SampledFunction(rule, vals, label="probe") != f
+    assert SampledFunction(rule, f.values, label="other") != f
+    assert SampledFunction(build_rule(0.5, 7.0, 16, 10), f.values, label="probe") == f
+    assert f != f.values
+
+
 def test_csv_schema():
     rule = build_rule(0.0, 4.0, 16, 10)
     f = SampledFunction(rule, np.ones(len(rule)) * (1 + 2j))

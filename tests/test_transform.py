@@ -255,6 +255,21 @@ def test_spectrum_csv_and_metadata():
     assert back.to_json_text() == g.to_json_text()
 
 
+def test_spectra_compare_by_value():
+    # the dataclass __eq__ compared the value arrays and raised "truth value
+    # of an array is ambiguous", in == and in list membership alike
+    x_rule, lam_rule = rules(0.5)
+    g = lcdt_forward(gaussian(-0.5), 0.5, M_SHEAR, lam_rule, x_rule=x_rule)
+    back = Spectrum.from_json_text(g.to_json_text())
+    assert back == g and back in [g] and not back != g
+    vals = g.values.copy()
+    vals[5] *= 1.0 + 1e-12
+    assert Spectrum(g.rule, vals, g.k, g.M, label=g.label) != g
+    assert Spectrum(g.rule, g.values, g.k, M_ROT, label=g.label) != g
+    assert Spectrum(g.rule, g.values, g.k, g.M, label=g.label, warnings=("w",)) != g
+    assert g != g.as_sampled()
+
+
 # the folded kernel tables against dense sums over the unfolded grids
 
 M_BPOS = CanonicalMatrix.rotation(-math.pi / 4)
@@ -440,6 +455,42 @@ def test_cold_table_build_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (even.nbytes + odd.nbytes)
+
+
+def test_cold_table_build_releases_the_argument_array(monkeypatch):
+    # t = |lam||x|/|b| goes before the odd table is filled block by block: a
+    # cold k = 1.8 pair peaks near the 16 B per entry of the pair itself, where
+    # holding t beside both tables took 27.6
+    prof = bump_profile(1.8, ((0.9, 1.8),), b=0.9)
+    fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
+    monkeypatch.setattr(transform, "_tables", {})
+    transform._bessel_tables(1.8, fa, xa, 0.9)  # scipy's import is not the build's
+    transform._tables.clear()
+    tracemalloc.start()
+    try:
+        transform._bessel_tables(1.8, fa, xa, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * fa.size * xa.size
+
+
+@pytest.mark.parametrize("k", [-0.5, 0.5, 1.8])
+def test_table_pair_is_the_unblocked_formula_bit_for_bit(k, monkeypatch):
+    # the odd table, filled block by block from a recomputed t, against
+    # j_k(t), t j_{k+1}(t) / (2(k+1)) on the whole t at once; the bump grid
+    # interpolates (j_{1/2} beside cos at k = -1/2), the small table does not
+    prof = bump_profile(k, ((0.9, 1.8),), b=0.9)
+    fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
+    for rows, cols in ((xa, fa), (xa[:20], fa[:30])):
+        monkeypatch.setattr(transform, "_tables", {})
+        t = np.multiply.outer(rows, cols) / 0.9
+        even, odd = specfun._bessel_j_tables((k, k + 1.0), t)
+        odd *= t
+        odd *= 0.5 / (k + 1.0)
+        got = transform._bessel_tables(k, cols, rows, 0.9)
+        assert [a.shape for a in got] == [t.shape[::-1]] * 2
+        assert np.array_equal(got[0].T, even) and np.array_equal(got[1].T, odd)
 
 
 def test_table_pair_is_stored_with_rows_on_the_longer_grid(monkeypatch):
