@@ -194,9 +194,7 @@ def cmd_transform(cfg, given, out_dir):
         g = lcdt_forward(data, k, M, prof.lam_rule, x_rule=prof.x_rule)
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "spectrum.csv"), g.to_csv_text())
-    payload = json.loads(g.to_json_text())
-    payload["config"] = given
-    _atomic_write(os.path.join(out_dir, "spectrum.json"), _json_text(payload))
+    _atomic_write(os.path.join(out_dir, "spectrum.json"), _json_text({**g.payload(), "config": given}))
     return 0
 
 

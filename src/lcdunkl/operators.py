@@ -24,7 +24,7 @@ import numpy as np
 
 from . import transform
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, lp_norm
+from .quadrature import QuadratureRule, SampledFunction, _csv_text, lp_norm
 from .specfun import kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
 from .transform import Spectrum, _lcdt_apply, lcdt_forward
@@ -107,12 +107,7 @@ class NormSequence:
         return bool(np.all(np.isneginf(self.lognorm)))
 
     def to_csv_text(self) -> str:
-        lines = ["n,lognorm,root,ratio"]
-        for i in range(self.n.shape[0]):
-            lines.append(
-                f"{int(self.n[i])},{float(self.lognorm[i])!r},{float(self.root[i])!r},{float(self.ratio[i])!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text("n,lognorm,root,ratio", self.n, self.lognorm, self.root, self.ratio)
 
     def consistency_residual(self) -> float:
         """Max mismatch between stored root/ratio and the log-norm column."""

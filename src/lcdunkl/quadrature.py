@@ -4,9 +4,12 @@ Rules are composite Gauss panels on a symmetric interval [-X, X] with
 the Dunkl density folded into the weights. Zero is always a panel edge:
 the two panels there are Gauss-Jacobi, exact for the power |x|^(2k+1),
 and the others Gauss-Legendre, on which the density is smooth.
+
+Records are written one way: payload() is JSON data that from_payload
+reads back bit for bit, and _csv_text writes every CSV file of the
+package (spectra, sampled functions, norm sequences), numbers as repr.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -48,7 +51,14 @@ def _fields_equal(a, b) -> bool:
         for u, v in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
 
 
-@dataclass(frozen=True)
+def _csv_text(header: str, *columns) -> str:
+    """A header line, then one line per row of the columns, each entry the repr of its tolist() value."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join([header + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
+
+
+# eq=False: the value __eq__ below leaves __hash__ None, where the generated hash would hash the arrays
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and Dunkl-weighted quadrature weights on [-X, X]."""
 
@@ -188,7 +198,7 @@ def build_rule(k, X: float, panels: int, nodes_per_panel: int) -> QuadratureRule
     return build_rule_from_edges(k, edges, nodes_per_panel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Complex samples of a function at the nodes of a quadrature rule."""
 
@@ -209,26 +219,24 @@ class SampledFunction:
     __eq__ = _fields_equal
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,re,im\n")
-        for x, v in zip(self.rule.nodes, self.values):
-            buf.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-        return buf.getvalue()
+        return _csv_text("node,re,im", self.rule.nodes, self.values.real, self.values.imag)
+
+    def payload(self) -> dict:
+        """The samples as JSON data, which from_payload reads back bit for bit."""
+        return {"label": self.label, "rule": self.rule.payload(),
+                "re": self.values.real.tolist(), "im": self.values.imag.tolist()}
+
+    @classmethod
+    def from_payload(cls, data) -> "SampledFunction":
+        values = np.array(data["re"], dtype=np.float64) + 1j * np.array(data["im"], dtype=np.float64)
+        return cls(QuadratureRule.from_payload(data["rule"]), values, label=data.get("label", ""))
 
     def to_json_text(self) -> str:
-        payload = {
-            "label": self.label,
-            "rule": self.rule.payload(),
-            "re": self.values.real.tolist(),
-            "im": self.values.imag.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self.payload(), sort_keys=True)
 
     @classmethod
     def from_json_text(cls, text: str) -> "SampledFunction":
-        payload = json.loads(text)
-        values = np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"])
-        return cls(rule=QuadratureRule.from_payload(payload["rule"]), values=values, label=payload.get("label", ""))
+        return cls.from_payload(json.loads(text))
 
 
 def integrate(f: SampledFunction) -> complex:

@@ -27,6 +27,10 @@ the same table pair, keyed on unique|lam| x unique|x| at |b| with the
 lam rule's classes: the chirp route as _lcdt_apply at (0, b; -1/b, d),
 the spectral derivatives as _lcdt_folded at (0, b; -1/b, 0), where both
 chirps are 1.
+
+A Spectrum is recorded in the format of quadrature: its payload() is
+its SampledFunction's plus metadata(), and its CSV comes from the one
+writer quadrature._csv_text.
 """
 
 import json
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyWarning, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, _fields_equal
+from .quadrature import QuadratureRule, SampledFunction, _csv_text, _fields_equal
 from .specfun import (_CHUNK, CanonicalMatrix, _bessel_j_tables, _clenshaw, _panel_series, bessel_j_grid, kval, matval,
                       principal_power, regularized_gamma)
 from .symfun import SymExpr, evaluate, gaussian
@@ -54,7 +58,7 @@ __all__ = [
 TAIL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """LCDT values on a symmetric frequency rule, with provenance."""
 
@@ -79,10 +83,7 @@ class Spectrum:
         return SampledFunction(self.rule, self.values, label=self.label)
 
     def to_csv_text(self) -> str:
-        lines = ["lambda,re,im"]
-        for lam, v in zip(self.rule.nodes, self.values):
-            lines.append(f"{float(lam)!r},{float(v.real)!r},{float(v.imag)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("lambda,re,im", self.rule.nodes, self.values.real, self.values.imag)
 
     def metadata(self) -> dict:
         return {
@@ -92,25 +93,19 @@ class Spectrum:
             "warnings": list(self.warnings),
         }
 
+    def payload(self) -> dict:
+        """The sampled payload plus metadata(), which from_json_text reads back bit for bit."""
+        return {**self.as_sampled().payload(), **self.metadata()}
+
     def to_json_text(self) -> str:
-        payload = self.metadata()
-        payload["rule"] = self.rule.payload()
-        payload["re"] = self.values.real.tolist()
-        payload["im"] = self.values.imag.tolist()
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self.payload(), sort_keys=True)
 
     @classmethod
     def from_json_text(cls, text: str) -> "Spectrum":
         payload = json.loads(text)
-        m = payload["matrix"]
-        return cls(
-            rule=QuadratureRule.from_payload(payload["rule"]),
-            values=np.array(payload["re"], dtype=np.float64) + 1j * np.array(payload["im"]),
-            k=payload["k"],
-            M=CanonicalMatrix(m["a"], m["b"], m["c"], m["d"]),
-            label=payload.get("label", ""),
-            warnings=tuple(payload.get("warnings", ())),
-        )
+        s, m = SampledFunction.from_payload(payload), payload["matrix"]
+        return cls(rule=s.rule, values=s.values, k=payload["k"], M=CanonicalMatrix(m["a"], m["b"], m["c"], m["d"]),
+                   label=s.label, warnings=tuple(payload.get("warnings", ())))
 
 
 # ---------------------------------------------------------------------------

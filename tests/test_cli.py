@@ -283,10 +283,25 @@ def test_verify_determinism_byte_identical(tmp_path):
 SPECTRAL_WHICH = ("delta", "poly", "compact", "vanishing")
 
 
-def _run_child(code, *args):
+def _run_child(code, *args, env=()):
     src = os.path.dirname(os.path.dirname(lcdunkl.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_files_byte_identical_across_hash_seeds(tmp_path):
+    # transform and every estimate, each in a process with its own string hashing
+    code = ("import sys\n"
+            "from lcdunkl.cli import ESTIMATORS, main\n"
+            "runs = [['transform']] + [['estimate', '--which', w] for w in ESTIMATORS]\n"
+            "sys.exit(max(main([*run, '--out', sys.argv[1] + '/' + run[-1]]) for run in runs))")
+    for seed in ("1", "2"):
+        res = _run_child(code, str(tmp_path / seed), env={"PYTHONHASHSEED": seed})
+        assert res.returncode == 0, res.stdout + res.stderr
+    names = sorted(path.relative_to(tmp_path / "1") for path in (tmp_path / "1").rglob("*") if path.is_file())
+    assert len(names) == 2 * (1 + len(cli.ESTIMATORS))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -180,6 +180,11 @@ def test_sampled_functions_compare_by_value():
     assert SampledFunction(rule, f.values, label="other") != f
     assert SampledFunction(build_rule(0.5, 7.0, 16, 10), f.values, label="probe") == f
     assert f != f.values
+    # value equality leaves them unhashable by name; the generated hash raised on "numpy.ndarray"
+    for obj in (rule, f):
+        with pytest.raises(TypeError, match=type(obj).__name__):
+            hash(obj)
+    assert build_rule(0.5, 7.0, 16, 10) in [rule] and rule.fold is rule.fold
 
 
 def test_csv_schema():

@@ -268,6 +268,8 @@ def test_spectra_compare_by_value():
     assert Spectrum(g.rule, g.values, g.k, M_ROT, label=g.label) != g
     assert Spectrum(g.rule, g.values, g.k, g.M, label=g.label, warnings=("w",)) != g
     assert g != g.as_sampled()
+    with pytest.raises(TypeError, match="Spectrum"):
+        hash(g)
 
 
 # the folded kernel tables against dense sums over the unfolded grids
