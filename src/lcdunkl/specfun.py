@@ -8,13 +8,15 @@ J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
 the first call that reaches that branch. j_{-1/2} is cos.
 
 The transform's kernel tables are piecewise Chebyshev interpolants: at
-every order but -1/2, ``_panel_series`` runs ``bessel_j_grid`` only at
-Chebyshev points on panels of width at most 1/2, and ``_clenshaw`` sums
-each panel's series over the table, in place and point by point, so a
-table can be filled block by block (``_bessel_j_tables`` fills whole
-ones). cos (nu = -1/2) and small tables stay on ``bessel_j_grid``, as do
-``bessel_j_norm`` and ``dunkl_kernel_dx``, whose n = 0 terms are the one
-kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
+every order but -1/2, ``_panel_fit`` runs ``bessel_j_grid`` only at
+Chebyshev points on panels of width at most 1/2, from a table's max|u|
+and entry count alone (``_panel_series`` reads both off a table u), and
+``_clenshaw`` sums each panel's series over the table, in place and
+point by point, in chunks of _CHUNK points, so a table can be filled
+block by block (``_bessel_j_tables`` fills whole ones). cos (nu = -1/2)
+and small tables stay on ``bessel_j_grid``, as do ``bessel_j_norm``
+and ``dunkl_kernel_dx``, whose n = 0 terms are the one kernel formula
+that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 ``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
 """
 
@@ -204,32 +206,37 @@ def bessel_j_grid(nu: float, u) -> np.ndarray:
 # Approximation Practice", SIAM 2013, ch. 7-8).
 PANEL_WIDTH = 0.5
 PANEL_NODES = 10
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 _THETA = math.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
 # node values -> Chebyshev coefficients (a DCT-II), the constant term halved
 _TO_COEFFS = np.cos(np.outer(np.arange(PANEL_NODES), _THETA)) * (2.0 / PANEL_NODES)
 _TO_COEFFS[0] *= 0.5
 
 
-def _panel_series(nu: float, u: np.ndarray):
-    """(c, umax): j_nu on [0, umax = max|u|] as (degree, panel) Chebyshev coefficients c.
+def _panel_fit(nu: float, umax: float, size: int):
+    """(c, umax): j_nu on [0, umax] as (degree, panel) Chebyshev coefficients c, for a table of size entries.
 
     The ceil(umax / PANEL_WIDTH) equal panels each cost bessel_j_grid at
-    PANEL_NODES points. None where u gets bessel_j_grid itself: at nu = -1/2
-    (cos is exact; the sum loses ~1e-13 to argument reduction near |u| =
-    2000), at no more points than panel nodes, and at zero, non-finite or
-    out-of-range max|u| (which it rejects).
+    PANEL_NODES points. None where the table gets bessel_j_grid itself: at
+    nu = -1/2 (cos is exact; the sum loses ~1e-13 to argument reduction
+    near |u| = 2000), at no more entries than panel nodes, and at zero,
+    non-finite or out-of-range umax (which it rejects).
     """
-    umax = float(max(u.max(initial=0.0), -u.min(initial=0.0)))  # NaN if any; no |u| temporary
     n = math.ceil(umax / PANEL_WIDTH) if 0.0 < umax <= U_MAX else 0
-    if nu == -0.5 or n == 0 or u.size <= n * PANEL_NODES:
+    if nu == -0.5 or n == 0 or size <= n * PANEL_NODES:
         return None
     nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (umax / n)
     return _TO_COEFFS @ bessel_j_grid(nu, nodes).T, umax  # one row per degree, so each is one 1-D gather
 
 
+def _panel_series(nu: float, u: np.ndarray):
+    """_panel_fit for the table u: its max|u| and entry count."""
+    umax = float(max(u.max(initial=0.0), -u.min(initial=0.0)))  # NaN if any; no |u| temporary
+    return _panel_fit(nu, umax, u.size)
+
+
 def _clenshaw(series, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out (C-contiguous, u's shape) with a _panel_series at |u|, |u| within its umax.
+    """Fill out (C-contiguous, u's shape) with a _panel_fit at |u|, |u| within its umax.
 
     One Clenshaw sum per point, in chunks of _CHUNK points. A value depends
     on its point and the series alone, so block by block fills bit for bit.

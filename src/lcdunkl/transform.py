@@ -8,8 +8,9 @@ folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
 factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
 rules that quarters the table. At every order but -1/2 (cos), the
 tables are piecewise Chebyshev interpolants (specfun._clenshaw) under
-the same accuracy contract, filled so that a build peaks near the 16
-bytes per entry of the pair. One cached pair serves both directions
+the same accuracy contract, fitted before the argument array exists and
+filled so that a build peaks near the 16 bytes per entry of the pair
+(README "Backends"). One cached pair serves both directions
 of a grid pair, and the cache holds at most TABLE_BUDGET bytes, dropping
 its oldest pairs first. A pair is stored C-ordered with its rows on the
 longer folded grid. On bump profiles that is |x|: the inverse of a
@@ -42,8 +43,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, ParameterError
 from .quadrature import QuadratureRule, SampledFunction, _csv_text, _fields_equal
-from .specfun import (_CHUNK, CanonicalMatrix, _bessel_j_tables, _clenshaw, _panel_series, bessel_j_grid, kval, matval,
-                      principal_power, regularized_gamma)
+from .specfun import (_CHUNK, CanonicalMatrix, _clenshaw, _panel_fit, bessel_j_grid, kval, matval, principal_power,
+                      regularized_gamma)
 from .symfun import SymExpr, evaluate, gaussian
 
 __all__ = [
@@ -124,6 +125,8 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     orientation reads the transposed view. Where j_{k+1} is interpolated,
     t goes once j_k is filled, and the odd table is filled by row blocks of
     about _CHUNK entries of t, recomputed bit for bit (README "Backends").
+    Both orders are fitted before t exists, from its corner entry: on
+    sorted magnitudes, with rounding monotone, that is max t bit for bit.
     """
     ka, kb = fa.tobytes(), xa.tobytes()
     swap = ka > kb if fa.size == xa.size else xa.size > fa.size
@@ -131,10 +134,11 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     got = _tables.get(key)
     if got is None:
         rows, cols = (xa, fa) if swap else (fa, xa)
+        corner = float(rows[-1] * cols[-1] / absb)
+        even_fit, odd_fit = (_panel_fit(nu, corner, rows.size * cols.size) for nu in (k, k + 1.0))
         t = np.multiply.outer(rows, cols) / absb
-        (even,) = _bessel_j_tables((k,), t)
-        series = _panel_series(k + 1.0, t)
-        if series is None:
+        even = bessel_j_grid(k, t) if even_fit is None else _clenshaw(even_fit, t, np.empty(t.shape))
+        if odd_fit is None:
             odd = bessel_j_grid(k + 1.0, t)
             odd *= t
         else:
@@ -143,7 +147,7 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
             step = max(1, _CHUNK // cols.size)
             for lo in range(0, rows.size, step):
                 t = np.multiply.outer(rows[lo:lo + step], cols) / absb
-                _clenshaw(series, t, odd[lo:lo + step])
+                _clenshaw(odd_fit, t, odd[lo:lo + step])
                 odd[lo:lo + step] *= t
         odd *= 0.5 / (k + 1.0)
         got = (even, odd)

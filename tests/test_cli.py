@@ -38,6 +38,18 @@ def test_transform_gaussian_symmetric_csv(tmp_path):
     assert meta["matrix"]["b"] == 1.0
 
 
+def test_transform_reads_a_product_node(tmp_path):
+    # e^(-x^2/4) e^(-x^2/4) merges into the one-term Gaussian: the same spectrum, byte for byte
+    half = {"type": "sum_of_terms", "terms": [{"coeff": [1.0, 0.0], "m": 0, "alpha": [-0.25, 0.0]}]}
+    spectra = []
+    for expr in ({"type": "product", "children": [half, half]}, GAUSSIAN_EXPR):
+        out = tmp_path / str(len(spectra))
+        cfg = write_cfg(tmp_path, {"function": {"type": "symexpr", "expr": expr}})
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+        spectra.append((out / "spectrum.csv").read_bytes())
+    assert spectra[0] == spectra[1]
+
+
 def test_transform_reports_a_tail_bound_beyond_gamma_range(tmp_path):
     # Gamma(s) of the tail bound leaves double range at s = 181 (k = 150, x^60)
     expr = {"type": "sum_of_terms", "terms": [{"coeff": [1.0, 0.0], "m": 60, "alpha": [-0.5, 0.0]}]}

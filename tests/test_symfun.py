@@ -305,6 +305,26 @@ def test_expr_to_json_shape():
     assert np.max(np.abs(evaluate(prod, GRID) - evaluate(e, GRID) * evaluate(q, GRID))) <= 1e-13
 
 
+def test_sum_and_product_nodes_read_as_the_operators():
+    # each node folds its children left to right with + or *, nested nodes too,
+    # so it evaluates as the SymExpr built directly, bit for bit
+    a = gaussian(-0.5, beta=0.1j, m=2, coeff=1 - 2j)
+    b = bessel_factor(0.7, 1.3, m=1)
+    c = odd_quotient(gaussian(-0.3, beta=0.4))
+    a_, b_, c_ = (expr_to_json(e) for e in (a, b, c))
+    cases = [
+        ({"type": "sum", "children": [a_, b_, c_]}, a + b + c),
+        ({"type": "product", "children": [a_, c_, a_]}, a * c * a),
+        ({"type": "sum", "children": [{"type": "product", "children": [a_, b_]}, c_]}, a * b + c),
+        ({"type": "product", "children": [{"type": "sum", "children": [a_, c_]}, a_]}, (a + c) * a),
+        ({"type": "sum", "children": [b_]}, b),
+    ]
+    for node, want in cases:
+        got = expr_from_json(node)
+        assert got.j == want.j
+        assert np.array_equal(evaluate(got, GRID), evaluate(want, GRID))
+
+
 def test_canonical_merge_drops_cancelled_terms():
     e = gaussian(-0.5) + gaussian(-0.5, coeff=-1.0)
     assert e.j == 0

@@ -450,6 +450,7 @@ def test_cold_table_build_memory(monkeypatch):
     assert (len(prof.x_rule), len(prof.lam_rule)) == (3120, 528)
     fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     monkeypatch.setattr(transform, "_tables", {})
+    import scipy.special  # noqa: F401  (scipy's import is not the build's, whichever test runs first)
     tracemalloc.start()
     try:
         even, odd = transform._bessel_tables(0.5, fa, xa, 1.0)
@@ -459,10 +460,8 @@ def test_cold_table_build_memory(monkeypatch):
     assert peak <= 2 * (even.nbytes + odd.nbytes)
 
 
-def test_cold_table_build_releases_the_argument_array(monkeypatch):
-    # t = |lam||x|/|b| goes before the odd table is filled block by block: a
-    # cold k = 1.8 pair peaks near the 16 B per entry of the pair itself, where
-    # holding t beside both tables took 27.6
+def _cold_bump_build_bytes_per_entry(monkeypatch):
+    # tracemalloc peak of a cold k = 1.8 bump pair, per entry of one table
     prof = bump_profile(1.8, ((0.9, 1.8),), b=0.9)
     fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     monkeypatch.setattr(transform, "_tables", {})
@@ -474,7 +473,44 @@ def test_cold_table_build_releases_the_argument_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * fa.size * xa.size
+    return peak / (fa.size * xa.size)
+
+
+def test_cold_table_build_releases_the_argument_array(monkeypatch):
+    # t = |lam||x|/|b| goes before the odd table is filled block by block: a
+    # cold k = 1.8 pair peaks near the 16 B per entry of the pair itself, where
+    # holding t beside both tables took 27.6
+    assert _cold_bump_build_bytes_per_entry(monkeypatch) <= 20
+
+
+def test_cold_table_build_fits_before_the_argument_array(monkeypatch):
+    # both panel fits run before t exists, and the Clenshaw chunks are 8192
+    # points: 18.1 B per entry, where fitting on t with 16384-point chunks took 19.35
+    assert _cold_bump_build_bytes_per_entry(monkeypatch) <= 18.5
+
+
+@pytest.mark.parametrize("k", [-0.5, 1.8])
+def test_panel_fit_from_the_corner_is_the_table_fit_bit_for_bit(k):
+    # on sorted magnitudes the corner entry is max t bit for bit, so fitting
+    # from it and the entry count is the fit read off t, None cases included:
+    # order -1/2, max t of 0 or beyond U_MAX, no more entries than panel nodes
+    bump, gauss = bump_profile(k, ((0.9, 1.8),), b=0.9), gauss_profile(k)
+    grids = [(p.lam_rule.fold[0], p.x_rule.fold[0]) for p in (bump, gauss)]
+    fa, xa = grids[0]
+    grids += [(fa[:1] * 0.0, xa), (fa[:2], xa[:3])]
+    nones = 0
+    for (rows, cols), absb in zip(grids + grids[:1], (0.9, 1.0, 0.9, 0.9, 0.3)):
+        t = np.multiply.outer(rows, cols) / absb
+        corner = float(rows[-1] * cols[-1] / absb)
+        assert corner == t.max()
+        for nu in (k, k + 1.0):
+            want, got = specfun._panel_series(nu, t), specfun._panel_fit(nu, corner, t.size)
+            if want is None:
+                nones += 1
+                assert got is None
+            else:
+                assert got[1] == want[1] and np.array_equal(got[0], want[0])
+    assert nones == (8 if k == -0.5 else 6)
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.5, 1.8])
