@@ -10,13 +10,11 @@ the first call that reaches that branch. j_{-1/2} is cos.
 The transform's kernel tables are piecewise Chebyshev interpolants: at
 every order but -1/2, ``_panel_fit`` runs ``bessel_j_grid`` only at
 Chebyshev points on panels of width at most 1/2, from a table's max|u|
-and entry count alone (``_panel_series`` reads both off a table u), and
-``_clenshaw`` sums each panel's series over the table, in place and
-point by point, in chunks of _CHUNK points, so a table can be filled
-block by block (``_bessel_j_tables`` fills whole ones). cos (nu = -1/2)
-and small tables stay on ``bessel_j_grid``, as do ``bessel_j_norm``
-and ``dunkl_kernel_dx``, whose n = 0 terms are the one kernel formula
-that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
+alone, and ``_clenshaw`` sums each panel's series over the table, in
+place and point by point, in chunks of _CHUNK points, so a table can be
+filled block by block. cos (nu = -1/2) stays on ``bessel_j_grid``, as do
+``bessel_j_norm`` and ``dunkl_kernel_dx``, whose n = 0 terms are the one
+kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 ``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
 """
 
@@ -213,40 +211,37 @@ _TO_COEFFS = np.cos(np.outer(np.arange(PANEL_NODES), _THETA)) * (2.0 / PANEL_NOD
 _TO_COEFFS[0] *= 0.5
 
 
-def _panel_fit(nu: float, umax: float, size: int):
-    """(c, umax): j_nu on [0, umax] as (degree, panel) Chebyshev coefficients c, for a table of size entries.
+def _panel_fit(nu: float, umax: float):
+    """(c, span): j_nu on [0, span] as (degree, panel) Chebyshev coefficients c, span = umax (PANEL_WIDTH at 0).
 
-    The ceil(umax / PANEL_WIDTH) equal panels each cost bessel_j_grid at
-    PANEL_NODES points. None where the table gets bessel_j_grid itself: at
-    nu = -1/2 (cos is exact; the sum loses ~1e-13 to argument reduction
-    near |u| = 2000), at no more entries than panel nodes, and at zero,
-    non-finite or out-of-range umax (which it rejects).
+    The ceil(span / PANEL_WIDTH) equal panels each cost bessel_j_grid at
+    PANEL_NODES points. An umax beyond U_MAX raises bessel_j_grid's
+    RangeError here, as no node lies past umax. None at nu = -1/2, where
+    the table is bessel_j_grid's cos (exact; the sum loses ~1e-13 to
+    argument reduction near |u| = 2000).
     """
-    n = math.ceil(umax / PANEL_WIDTH) if 0.0 < umax <= U_MAX else 0
-    if nu == -0.5 or n == 0 or size <= n * PANEL_NODES:
+    if not umax <= U_MAX:
+        raise RangeError(f"|x| = {umax} beyond supported range {U_MAX}")
+    if nu == -0.5:
         return None
-    nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (umax / n)
-    return _TO_COEFFS @ bessel_j_grid(nu, nodes).T, umax  # one row per degree, so each is one 1-D gather
-
-
-def _panel_series(nu: float, u: np.ndarray):
-    """_panel_fit for the table u: its max|u| and entry count."""
-    umax = float(max(u.max(initial=0.0), -u.min(initial=0.0)))  # NaN if any; no |u| temporary
-    return _panel_fit(nu, umax, u.size)
+    span = umax or PANEL_WIDTH
+    n = math.ceil(span / PANEL_WIDTH)
+    nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (span / n)
+    return _TO_COEFFS @ bessel_j_grid(nu, nodes).T, span  # one row per degree, so each is one 1-D gather
 
 
 def _clenshaw(series, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out (C-contiguous, u's shape) with a _panel_fit at |u|, |u| within its umax.
+    """Fill out (C-contiguous, u's shape) with a _panel_fit at |u|, |u| within its span.
 
     One Clenshaw sum per point, in chunks of _CHUNK points. A value depends
     on its point and the series alone, so block by block fills bit for bit.
     """
-    c, umax = series
+    c, span = series
     n = c.shape[1]
     flat, dst = u.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
         y = np.abs(flat[lo:lo + _CHUNK])
-        y *= n / umax
+        y *= n / span
         panel = np.minimum(y.astype(np.intp), n - 1)
         s = 2.0 * (y - panel) - 1.0
         s2 = 2.0 * s
@@ -255,14 +250,6 @@ def _clenshaw(series, u: np.ndarray, out: np.ndarray) -> np.ndarray:
             b1, b2 = s2 * b1 - b2 + c[d].take(panel), b1
         dst[lo:lo + _CHUNK] = s * b1 - b2 + c[0].take(panel)
     return out
-
-
-def _bessel_j_tables(orders, u) -> list:
-    """[j_nu(u) for nu in orders]: _clenshaw on a _panel_series, or bessel_j_grid where there is none."""
-    u = np.asarray(u, dtype=np.float64)
-    series = [_panel_series(float(nu), u) for nu in orders]
-    return [bessel_j_grid(nu, u) if sr is None else _clenshaw(sr, u, np.empty(u.shape))
-            for nu, sr in zip(orders, series)]
 
 
 def bessel_j_norm(k, x: float) -> float:

@@ -12,7 +12,9 @@ value near 0 comes from the numerator's Taylor series rather than a
 cancelling division.
 """
 
+import cmath
 import json
+import math
 
 import numpy as np
 
@@ -48,29 +50,34 @@ TERM_BUDGET = 500_000
 VANISH_RTOL = 1e-9  # a quotpow child's Taylor coefficients below j, relative to the largest
 
 
+def _degree(m) -> int:
+    """m as an int, from a (numpy) integer or an integral float; a bool, 1.5 or "1" raise ParameterError."""
+    if isinstance(m, (int, np.integer)) and not isinstance(m, bool) or isinstance(m, float) and m.is_integer():
+        return int(m)
+    raise ParameterError(f"monomial degree must be an integer, got {m!r}")
+
+
 class Term:
     """coeff * x^m * exp(alpha x^2 + beta x) * [j_kappa(c x)]."""
 
     __slots__ = ("coeff", "m", "alpha", "beta", "kappa", "c")
 
     def __init__(self, coeff, m=0, alpha=0j, beta=0j, kappa=None, c=None):
+        m = m if type(m) is int else _degree(m)
         if m < 0:
             raise ParameterError("monomial degree must be nonnegative")
-        alpha = complex(alpha)
+        coeff, alpha, beta = complex(coeff), complex(alpha), complex(beta)
+        if not (cmath.isfinite(coeff) and cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ParameterError(f"term coeff, alpha and beta must be finite, got {coeff}, {alpha}, {beta}")
         if alpha.real > 1e-12:
             raise ParameterError("Re(alpha) must be <= 0")
         if kappa is not None:
-            if kappa < -0.5:
-                raise ParameterError("bessel order must be >= -1/2")
-            c = abs(float(c))
+            kappa, c = float(kappa), abs(float(c))
+            if not (-0.5 <= kappa < math.inf and math.isfinite(c)):
+                raise ParameterError(f"bessel order must be finite and >= -1/2, and c finite, got {kappa}, {c}")
             if c == 0.0:
                 kappa = c = None  # j_kappa(0) = 1
-        self.coeff = complex(coeff)
-        self.m = int(m)
-        self.alpha = alpha
-        self.beta = complex(beta)
-        self.kappa = None if kappa is None else float(kappa)
-        self.c = c
+        self.coeff, self.m, self.alpha, self.beta, self.kappa, self.c = coeff, m, alpha, beta, kappa, c
 
     def key(self):
         return (self.m, self.alpha, self.beta, self.kappa, self.c)

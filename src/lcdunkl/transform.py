@@ -8,14 +8,15 @@ folded grids unique|freq| x unique|x| only: j_k(t) and the fused odd
 factor t j_{k+1}(t) / (2(k+1)), t = |freq||x| / |b|. On mirror-symmetric
 rules that quarters the table. At every order but -1/2 (cos), the
 tables are piecewise Chebyshev interpolants (specfun._clenshaw) under
-the same accuracy contract, fitted before the argument array exists and
-filled so that a build peaks near the 16 bytes per entry of the pair
-(README "Backends"). One cached pair serves both directions
-of a grid pair, and the cache holds at most TABLE_BUDGET bytes, dropping
-its oldest pairs first. A pair is stored C-ordered with its rows on the
-longer folded grid. On bump profiles that is |x|: the inverse of a
-p != 2 norm sequence contracts its n_max + 1 columns against C order,
-and the one-column forward transforms read the transposed view.
+the same accuracy contract, fitted from max|t| alone before the
+argument array exists and filled so that a build peaks near the 16
+bytes per entry of the pair (README "Backends"). One cached pair serves
+both directions of a grid pair, and the cache holds at most
+TABLE_BUDGET bytes, dropping its oldest pairs first. A pair is stored
+C-ordered with its rows on the longer folded grid. On bump profiles
+that is |x|: the inverse of a p != 2 norm sequence contracts its
+n_max + 1 columns against C order, and the one-column forward
+transforms read the transposed view.
 _lcdt_folded is the one LCDT core; _lcdt_apply unfolds it onto output
 nodes, and p != 2 norm sequences read their norms off its row blocks.
 
@@ -122,11 +123,12 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     fa and xa are sorted unique magnitudes. Both orientations of a grid
     pair share one cached pair of tables, stored C-ordered with its rows on
     the longer grid (on the smaller bytes at equal lengths); the other
-    orientation reads the transposed view. Where j_{k+1} is interpolated,
-    t goes once j_k is filled, and the odd table is filled by row blocks of
-    about _CHUNK entries of t, recomputed bit for bit (README "Backends").
-    Both orders are fitted before t exists, from its corner entry: on
-    sorted magnitudes, with rounding monotone, that is max t bit for bit.
+    orientation reads the transposed view. Both orders are fitted before t
+    exists, from its corner entry: on sorted magnitudes, with rounding
+    monotone, that is max t bit for bit, and the fit reads max t alone.
+    j_k is filled over the whole t (cos at k = -1/2), t goes, and the odd
+    table is filled by row blocks of about _CHUNK entries of t, recomputed
+    bit for bit (README "Backends").
     """
     ka, kb = fa.tobytes(), xa.tobytes()
     swap = ka > kb if fa.size == xa.size else xa.size > fa.size
@@ -135,20 +137,16 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     if got is None:
         rows, cols = (xa, fa) if swap else (fa, xa)
         corner = float(rows[-1] * cols[-1] / absb)
-        even_fit, odd_fit = (_panel_fit(nu, corner, rows.size * cols.size) for nu in (k, k + 1.0))
+        even_fit, odd_fit = _panel_fit(k, corner), _panel_fit(k + 1.0, corner)
         t = np.multiply.outer(rows, cols) / absb
         even = bessel_j_grid(k, t) if even_fit is None else _clenshaw(even_fit, t, np.empty(t.shape))
-        if odd_fit is None:
-            odd = bessel_j_grid(k + 1.0, t)
-            odd *= t
-        else:
-            del t
-            odd = np.empty(even.shape)
-            step = max(1, _CHUNK // cols.size)
-            for lo in range(0, rows.size, step):
-                t = np.multiply.outer(rows[lo:lo + step], cols) / absb
-                _clenshaw(odd_fit, t, odd[lo:lo + step])
-                odd[lo:lo + step] *= t
+        del t
+        odd = np.empty(even.shape)
+        step = max(1, _CHUNK // cols.size)
+        for lo in range(0, rows.size, step):
+            t = np.multiply.outer(rows[lo:lo + step], cols) / absb
+            _clenshaw(odd_fit, t, odd[lo:lo + step])
+            odd[lo:lo + step] *= t
         odd *= 0.5 / (k + 1.0)
         got = (even, odd)
         size = sum(a.nbytes for a in got)

@@ -25,7 +25,6 @@ from .quadrature import SampledFunction, build_rule, inner_product, lp_norm
 from .sobolev import derivative_via_spectrum, seminorm_S, seminorm_op, sobolev_norm
 from .specfun import (
     CanonicalMatrix,
-    _bessel_j_tables,
     bessel_j_grid,
     bessel_j_norm,
     dunkl_kernel,
@@ -41,7 +40,7 @@ from .symfun import (
     iterate_op,
     reflect,
 )
-from .transform import Spectrum, lcdt_forward
+from .transform import Spectrum, _bessel_tables, lcdt_forward
 
 SUITES = ("specfun", "transform", "operators", "sobolev", "pw")
 ORACLE_THRESHOLD = 1e-10
@@ -91,13 +90,15 @@ def checks_specfun():
     )
     out.append(_check("bessel_parity", "specfun", worst, 1e-12))
 
-    # the transform's kernel tables interpolate j_k and j_{k+1} (not cos)
+    # the interpolated pair lcdt_forward caches for the Gaussian profiles at
+    # |b| = 1, j_k(t) and t j_{k+1}(t) / (2(k+1)), against the direct evaluator
     worst = 0.0
     for k in (0.0, 0.5, 2.0):
         prof = _gauss(k)
-        t = np.multiply.outer(prof.lam_rule.fold[0], prof.x_rule.fold[0])
-        for nu, vals in zip((k, k + 1.0), _bessel_j_tables((k, k + 1.0), t)):
-            want = bessel_j_grid(nu, t)
+        fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
+        t = np.multiply.outer(fa, xa)
+        wants = bessel_j_grid(k, t), t * bessel_j_grid(k + 1.0, t) * (0.5 / (k + 1.0))
+        for vals, want in zip(_bessel_tables(k, fa, xa, 1.0), wants):
             worst = max(worst, float(np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want)))))
     out.append(_check("bessel_table_interpolation", "specfun", worst, 1e-12))
 

@@ -136,6 +136,16 @@ def test_corrupted_config_exit_code(tmp_path, capsys):
         # a quotpow child that does not vanish to order j at 0 (here exp(-x^2/2) / x)
         ("transform", {"function": {"type": "symexpr", "expr": {"type": "quotpow", "j": 1, "child": GAUSSIAN_EXPR}}},
          "function.expr"),
+        # a term's degree must be an integer (not 1.5, not a bool), and its Bessel factor finite
+        ("transform", {"function": {"type": "symexpr", "expr": {
+            "type": "sum_of_terms", "terms": [{"coeff": [1.0, 0.0], "m": 1.5, "alpha": [-0.5, 0.0]}]}}},
+         "function.expr"),
+        ("transform", {"function": {"type": "symexpr", "expr": {
+            "type": "sum_of_terms", "terms": [{"coeff": [1.0, 0.0], "m": True, "alpha": [-0.5, 0.0]}]}}},
+         "function.expr"),
+        ("transform", {"function": {"type": "symexpr", "expr": {"type": "sum_of_terms", "terms": [
+            {"coeff": [1.0, 0.0], "alpha": [-0.5, 0.0], "bessel": {"kappa": 0.5, "c": 1e400}}]}}},
+         "function.expr"),
     ],
 )
 def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lcdunkl import specfun
+from lcdunkl import specfun, transform
 from lcdunkl.corpus import bump_profile
 from lcdunkl.errors import ParameterError, RangeError
 from lcdunkl.specfun import (
@@ -141,9 +141,20 @@ def test_bessel_range_guard():
 # the kernel tables: piecewise Chebyshev interpolants of j_nu where jv runs
 
 def interpolation_grid():
-    # more points than panel nodes (4000 panels x 10 on [0, 2000]), off the nodes
+    # sorted magnitudes on [0, 2000], off the panel nodes
     rng = np.random.default_rng(5)
-    return np.concatenate([np.linspace(0.0, 2000.0, 40001), rng.uniform(0.0, 2000.0, 20000)])
+    return np.unique(np.concatenate([np.linspace(0.0, 2000.0, 40001), rng.uniform(0.0, 2000.0, 20000)]))
+
+
+def column_pair(k, t, monkeypatch):
+    """The pair transform._bessel_tables builds on the magnitudes t against x = 1: j_k(t), t j_{k+1}(t) / (2(k+1))."""
+    monkeypatch.setattr(transform, "_tables", {})
+    even, odd = transform._bessel_tables(k, t, np.ones(1), 1.0)
+    return even[:, 0], odd[:, 0]
+
+
+def rel_gap(vals, want):
+    return np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf])
@@ -157,9 +168,9 @@ def test_bessel_refuses_non_finite_order(nu):
 
 
 @pytest.mark.parametrize("nu", [-0.3, 0.0, 0.5, 1.0, 1.5, 1.6, 2.1, 2.5, 2.6, 3.1, 6.0, 150.3, 150.5])
-def test_interpolated_table_against_mpmath(nu):
+def test_interpolated_table_against_mpmath(nu, monkeypatch):
     t = interpolation_grid()
-    (vals,) = specfun._bessel_j_tables((nu,), t)
+    vals, _ = column_pair(nu, t, monkeypatch)
     rng = np.random.default_rng(int(10 * nu) + 3)
     picks = np.concatenate([rng.choice(t.size, 60, replace=False), [0, 1, 40000, t.size - 1]])
     for i in picks:
@@ -167,39 +178,48 @@ def test_interpolated_table_against_mpmath(nu):
         assert abs(vals[i] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_interpolated_bump_fold_matches_direct():
-    # the folded |lambda| x |x| table of a 3120 x 528 bump grid at k = 1.8
+def test_interpolated_bump_fold_matches_direct(monkeypatch):
+    # the folded |lambda| x |x| pair of a 3120 x 528 bump grid at k = 1.8
     k = 1.8
     prof = bump_profile(k, ((1.0, 2.0),))
     assert (len(prof.x_rule), len(prof.lam_rule)) == (3120, 528)
-    t = np.multiply.outer(np.unique(np.abs(prof.lam_rule.nodes)), np.unique(np.abs(prof.x_rule.nodes)))
-    for nu, vals in zip((k, k + 1.0), specfun._bessel_j_tables((k, k + 1.0), t)):
-        want = bessel_j_grid(nu, t)
+    fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
+    t = np.multiply.outer(fa, xa)
+    monkeypatch.setattr(transform, "_tables", {})
+    wants = bessel_j_grid(k, t), t * bessel_j_grid(k + 1.0, t) * (0.5 / (k + 1.0))
+    for vals, want in zip(transform._bessel_tables(k, fa, xa, 1.0), wants):
         assert vals.shape == t.shape
-        assert np.max(np.abs(vals - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+        assert rel_gap(vals, want) <= 1e-12
 
 
-def test_interpolated_table_edges():
+def test_interpolated_table_edges(monkeypatch):
     # max t exactly U_MAX: no node passes it, no RangeError
     t = np.linspace(0.0, U_MAX, 50001)
-    (vals,) = specfun._bessel_j_tables((1.6,), t)
-    assert np.max(np.abs(vals - bessel_j_grid(1.6, t))) <= 1e-12
-    # past U_MAX, or at an order where j_nu leaves double range: the direct errors
+    even, _ = column_pair(1.6, t, monkeypatch)
+    assert np.max(np.abs(even - bessel_j_grid(1.6, t))) <= 1e-12
+    # past U_MAX, or at an order where j_nu leaves double range: the direct errors, from the fits
     with pytest.raises(RangeError):
-        specfun._bessel_j_tables((1.6,), np.append(t, U_MAX * (1.0 + 1e-12)))
+        column_pair(1.6, np.append(t, U_MAX * (1.0 + 1e-12)), monkeypatch)
     with pytest.raises(RangeError):
-        specfun._bessel_j_tables((600.0, 601.0), t)
-    # fewer points than panel nodes: bessel_j_grid itself, half-integer orders too
+        column_pair(600.0, t, monkeypatch)
+    # tables of any size are interpolated, with fewer entries than panel nodes too, half-integer orders as well
     small = np.linspace(0.0, 100.0, 2000)
     assert small.size <= math.ceil(100.0 / specfun.PANEL_WIDTH) * specfun.PANEL_NODES
-    orders = (0.3, 1.3, 0.5, 1.5)
-    for nu, vals in zip(orders, specfun._bessel_j_tables(orders, small)):
-        assert np.array_equal(vals, bessel_j_grid(nu, small))
+    for k in (0.3, 0.5):
+        wants = bessel_j_grid(k, small), small * bessel_j_grid(k + 1.0, small) * (0.5 / (k + 1.0))
+        for vals, want in zip(column_pair(k, small, monkeypatch), wants):
+            assert rel_gap(vals, want) <= 1e-12
+    # max t of 0 (a rule whose one node is 0): one panel on [0, PANEL_WIDTH]
+    c, span = specfun._panel_fit(1.6, 0.0)
+    assert span == specfun.PANEL_WIDTH and c.shape == (specfun.PANEL_NODES, 1)
+    even, odd = column_pair(1.6, np.zeros(1), monkeypatch)
+    assert abs(even[0] - 1.0) <= 1e-14 and odd[0] == 0.0
     # cos at any size, beside an interpolated j_{1/2} (the k = -1/2 pair)
-    even, odd = specfun._bessel_j_tables((-0.5, 0.5), t)
+    assert specfun._panel_fit(-0.5, U_MAX) is None
+    even, _ = column_pair(-0.5, t, monkeypatch)
     assert np.array_equal(even, bessel_j_grid(-0.5, t))
-    want = bessel_j_grid(0.5, t)
-    assert np.max(np.abs(odd - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+    j_half = specfun._clenshaw(specfun._panel_fit(0.5, U_MAX), t, np.empty(t.shape))
+    assert rel_gap(j_half, bessel_j_grid(0.5, t)) <= 1e-12
 
 
 def test_dunkl_kernel_trivial_lam_zero():

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lcdunkl import specfun, transform
+from lcdunkl import specfun, transform, verify
 from lcdunkl.corpus import bump_profile, gauss_profile, realize_bump
-from lcdunkl.errors import AccuracyWarning, ParameterError
+from lcdunkl.errors import AccuracyWarning, ParameterError, RangeError
 from lcdunkl.operators import norm_sequence
-from lcdunkl.quadrature import QuadratureRule, SampledFunction, build_rule, inner_product, lp_norm
+from lcdunkl.quadrature import (QuadratureRule, SampledFunction, build_rule, gaussian_mass_closed_form, inner_product,
+                                lp_norm)
 from lcdunkl.sobolev import derivative_via_spectrum
 from lcdunkl.specfun import CanonicalMatrix, dunkl_kernel_dx, principal_power
 from lcdunkl.symfun import SymExpr, Term, evaluate, gaussian, iterate_op
@@ -490,45 +491,91 @@ def test_cold_table_build_fits_before_the_argument_array(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [-0.5, 1.8])
-def test_panel_fit_from_the_corner_is_the_table_fit_bit_for_bit(k):
-    # on sorted magnitudes the corner entry is max t bit for bit, so fitting
-    # from it and the entry count is the fit read off t, None cases included:
-    # order -1/2, max t of 0 or beyond U_MAX, no more entries than panel nodes
+def test_panel_fit_from_the_corner_is_the_table_fit_bit_for_bit(k, monkeypatch):
+    # on sorted magnitudes the corner entry is max t bit for bit, and the build
+    # fits both orders from it alone: None only at order -1/2 (cos), one panel
+    # on [0, PANEL_WIDTH] at max t of 0, and beyond U_MAX the RangeError of the
+    # direct evaluator, before t exists
     bump, gauss = bump_profile(k, ((0.9, 1.8),), b=0.9), gauss_profile(k)
     grids = [(p.lam_rule.fold[0], p.x_rule.fold[0]) for p in (bump, gauss)]
     fa, xa = grids[0]
     grids += [(fa[:1] * 0.0, xa), (fa[:2], xa[:3])]
-    nones = 0
+    panel_fit, fits = specfun._panel_fit, []
+
+    def recorded(nu, umax):
+        fits.append((nu, umax))
+        return panel_fit(nu, umax)
+
+    monkeypatch.setattr(transform, "_panel_fit", recorded)
+    nones = refused = 0
     for (rows, cols), absb in zip(grids + grids[:1], (0.9, 1.0, 0.9, 0.9, 0.3)):
         t = np.multiply.outer(rows, cols) / absb
-        corner = float(rows[-1] * cols[-1] / absb)
-        assert corner == t.max()
+        monkeypatch.setattr(transform, "_tables", {})
+        fits.clear()
+        if t.max() > specfun.U_MAX:
+            refused += 1
+            with pytest.raises(RangeError):
+                transform._bessel_tables(k, rows, cols, absb)
+            assert fits == [(k, t.max())]
+            continue
+        transform._bessel_tables(k, rows, cols, absb)
+        assert fits == [(k, t.max()), (k + 1.0, t.max())]
         for nu in (k, k + 1.0):
-            want, got = specfun._panel_series(nu, t), specfun._panel_fit(nu, corner, t.size)
-            if want is None:
+            got = panel_fit(nu, t.max())
+            if got is None:
                 nones += 1
-                assert got is None
+                assert nu == -0.5
             else:
-                assert got[1] == want[1] and np.array_equal(got[0], want[0])
-    assert nones == (8 if k == -0.5 else 6)
+                span = t.max() or specfun.PANEL_WIDTH
+                assert got[1] == span and got[0].shape == (specfun.PANEL_NODES, math.ceil(span / specfun.PANEL_WIDTH))
+    assert (nones, refused) == (4 if k == -0.5 else 0, 1)
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.5, 1.8])
 def test_table_pair_is_the_unblocked_formula_bit_for_bit(k, monkeypatch):
     # the odd table, filled block by block from a recomputed t, against
     # j_k(t), t j_{k+1}(t) / (2(k+1)) on the whole t at once; the bump grid
-    # interpolates (j_{1/2} beside cos at k = -1/2), the small table does not
+    # and a 20 x 30 corner of it alike interpolate (j_{1/2} beside cos at k = -1/2)
     prof = bump_profile(k, ((0.9, 1.8),), b=0.9)
     fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     for rows, cols in ((xa, fa), (xa[:20], fa[:30])):
         monkeypatch.setattr(transform, "_tables", {})
         t = np.multiply.outer(rows, cols) / 0.9
-        even, odd = specfun._bessel_j_tables((k, k + 1.0), t)
+        even_fit, odd_fit = (specfun._panel_fit(nu, float(t.max())) for nu in (k, k + 1.0))
+        even = specfun.bessel_j_grid(k, t) if even_fit is None else specfun._clenshaw(even_fit, t, np.empty(t.shape))
+        odd = specfun._clenshaw(odd_fit, t, np.empty(t.shape))
         odd *= t
         odd *= 0.5 / (k + 1.0)
         got = transform._bessel_tables(k, cols, rows, 0.9)
         assert [a.shape for a in got] == [t.shape[::-1]] * 2
         assert np.array_equal(got[0].T, even) and np.array_equal(got[1].T, odd)
+
+
+def test_verify_checks_the_cached_table_pair(monkeypatch):
+    # bessel_table_interpolation reads the pair lcdt_forward caches for a
+    # Gaussian profile, so a perturbed cached odd table fails it
+    prof = gauss_profile(0.5)
+    monkeypatch.setattr(transform, "_tables", {})
+    transform._bessel_tables(0.5, prof.lam_rule.fold[0], prof.x_rule.fold[0], 1.0)
+    (pair,) = transform._tables.values()
+    pair[1][...] *= 1.0 + 1e-9
+    (check,) = [c for c in verify.checks_specfun() if c["name"] == "bessel_table_interpolation"]
+    assert not check["passed"] and check["measured"] > check["tolerance"]
+
+
+@pytest.mark.parametrize("k", [-0.5, 0.5, 2.0])
+def test_one_node_rule_at_zero_transforms_to_its_weight(k, monkeypatch):
+    # every kernel argument is 0: the tables fit one panel on [0, PANEL_WIDTH],
+    # and the transform is c e^{i d lam^2/(2b)} w f(0), c = (ib)^(-(k+1))
+    X, M = 4.0, CanonicalMatrix(1.0, 0.9, 0.0, 1.0)
+    x_rule = QuadratureRule(np.array([0.0]), np.array([gaussian_mass_closed_form(k, X)]), X, k)
+    lam_rule = gauss_profile(k).lam_rule
+    f = SampledFunction(x_rule, np.array([0.7 - 0.2j]))
+    monkeypatch.setattr(transform, "_tables", {})
+    lam = lam_rule.nodes
+    want = principal_power(0.9j, -(k + 1.0)) * np.exp(0.5j * (M.d / M.b) * lam * lam) * x_rule.weights[0] * f.values[0]
+    got = lcdt_forward(f, k, M, lam_rule).values
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_table_pair_is_stored_with_rows_on_the_longer_grid(monkeypatch):
