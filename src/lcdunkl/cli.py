@@ -23,7 +23,8 @@ from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismat
 from .operators import MAX_N_SPECTRAL, RealPolynomial
 from .paleywiener import MIN_N_FIT, support_radius_oracle
 from .specfun import U_MAX, CanonicalMatrix
-from .symfun import expr_from_json
+from .quadrature import SampledFunction
+from .symfun import evaluate, expr_from_json
 from .transform import TABLE_BUDGET, lcdt_forward
 
 DEFAULT_CONFIG = {
@@ -155,6 +156,8 @@ def _build_context(cfg):
         field, data = "grid", expr
         prof = _built(field, gauss_profile, k, g["x_radius"], g["x_panels"], g["x_nodes"],
                       g["lambda_radius"], g["lambda_panels"], g["lambda_nodes"])
+        with np.errstate(all="ignore"):  # finite terms can overflow on the x rule: SampledFunction refuses that
+            _built("function.expr", lambda e: SampledFunction(prof.x_rule, evaluate(e, prof.x_rule.nodes)), expr)
     _check_rules(prof, M, field)
     return k, M, P, prof, (fn["type"], data)
 

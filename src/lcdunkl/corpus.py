@@ -44,6 +44,8 @@ SWEEP_M = (
     CanonicalMatrix(1.0, 1.0, 0.0, 1.0),
     CanonicalMatrix.rotation(math.pi / 3),
 )
+# bump profiles: the radius of the x rule, and the Gauss nodes per panel of the x and lambda rules
+_BUMP_X, _BUMP_X_NODES, _BUMP_L_NODES = 320.0, 12, 12
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ def _two_zone_edges(X_inner, w_inner, X, w_outer):
     return np.concatenate([-pos[::-1], pos[1:]])
 
 
-def bump_profile(k, intervals, b=1.0, X=320.0, x_nodes=12, l_nodes=12) -> GridProfile:
-    """Grids sized for compact-spectrum members supported on `intervals`."""
-    kk = kval(k)
+def bump_profile(k, intervals, b=1.0) -> GridProfile:
+    """Grids sized for compact-spectrum members supported on `intervals`, on [-_BUMP_X, _BUMP_X]."""
+    kk, X = kval(k), _BUMP_X
     maxedge = max(abs(e) for pair in intervals for e in pair)
     # keep the grid edge close to the support: residual spectral noise at
     # the edge enters n-th operator norms like (extent/maxedge)^n, so a
@@ -97,11 +99,11 @@ def bump_profile(k, intervals, b=1.0, X=320.0, x_nodes=12, l_nodes=12) -> GridPr
         raise RangeError(f"kernel argument X * 1.2 max|edge| / |b| = {X * extent / abs(b):.6g} beyond {U_MAX:g}")
     # frequency rule: resolve e^{i lam x / b} at |x| <= X inside the support
     per_unit = max(8.0, 0.75 * X / abs(b) / 12.0)
-    lam_rule = build_rule_from_edges(kk, _bump_lambda_edges(intervals, extent, per_unit), l_nodes)
+    lam_rule = build_rule_from_edges(kk, _bump_lambda_edges(intervals, extent, per_unit), _BUMP_L_NODES)
     # physical rule: dense panels near 0 (unit-scale calibration), far
     # panels sized by the oscillation rate <= extent / |b|
-    w_outer = min(4.0, 0.55 * x_nodes / (extent / abs(b)))
-    x_rule = build_rule_from_edges(kk, _two_zone_edges(8.0, 0.5, X, w_outer), x_nodes)
+    w_outer = min(4.0, 0.55 * _BUMP_X_NODES / (extent / abs(b)))
+    x_rule = build_rule_from_edges(kk, _two_zone_edges(8.0, 0.5, X, w_outer), _BUMP_X_NODES)
     return GridProfile(x_rule=x_rule, lam_rule=lam_rule)
 
 

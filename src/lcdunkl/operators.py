@@ -9,10 +9,9 @@ m(mu), mu = lam / b, of the operator, of P(i Lambda), of the Laplacian
 and of the heat flow are defined here once, as mu -> (log|m|, m/|m|):
 `_power` applies m^n, and `_sequence` (shared by `norm_sequence` and
 every estimator) takes the log-norms of inverse(m^n g), n <= n_max. At
-p = 2 those stay spectral (Parseval); at p != 2 the n_max + 1
-multiplied spectra meet the kernel tables in one folded contraction,
-run by row blocks, and the L^p norms are summed over the classes of |x|
-as each block lands, without unfolding the inverses.
+p = 2 those stay spectral (Parseval); at p != 2
+`transform._lcdt_lp_norms` reads them off one folded contraction of the
+n_max + 1 multiplied spectra.
 """
 
 import math
@@ -22,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transform
 from .errors import AccuracyWarning, ComputationError, ParameterError
 from .quadrature import QuadratureRule, SampledFunction, _csv_text, lp_norm
-from .specfun import kval, matval
+from .specfun import _integer, kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
-from .transform import Spectrum, _lcdt_apply, lcdt_forward
+from .transform import Spectrum, _lcdt_apply, _lcdt_lp_norms, lcdt_forward
 
 __all__ = [
     "RealPolynomial",
@@ -47,8 +45,6 @@ SERIES_TAIL_TOL = 1e-12
 SERIES_Q_MAX = 21.0
 EDGE_WARN_FRACTION = 1e-8
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# output classes per block of the p != 2 fold: at MAX_N_SPECTRAL its GEMM outputs stay under 128 KiB
-_FOLD_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -216,44 +212,9 @@ def _scaled_powers(g: Spectrum, log_mult, phase, ns):
     return np.ascontiguousarray(scaled.T), mx
 
 
-def _folded_lp_norms(g: Spectrum, cols, p, x_rule):
-    """L^p norms on x_rule of the inverse transforms of the columns of cols, from the folded sums.
-
-    At x of class j the inverse has modulus |c| |ev_j - sign(x) s_j|
-    (transform._lcdt_folded), so each class gets one weight per sign of x
-    from x_rule.fold, 0 where it has no node of that sign. The sums come in
-    blocks of _FOLD_ROWS classes and reduce into the norms as each lands:
-    p = 1 and p = inf take no power; at other p each column keeps a running
-    scale, its largest modulus so far, so that large p neither underflows
-    nor overflows.
-    """
-    blocks, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols, _FOLD_ROWS)
-    _, pos, neg = x_rule.fold
-    w = np.append(x_rule.weights, 0.0)
-    norms, top = np.zeros(cols.shape[1]), np.zeros(cols.shape[1])
-    for rows, ev, s in blocks:
-        for combine, side in ((np.subtract, pos[rows]), (np.add, neg[rows])):
-            mags = np.abs(combine(ev, s))
-            mags[side == len(x_rule)] = 0.0
-            if p == math.inf:
-                np.maximum(norms, np.max(mags, axis=0), out=norms)
-            elif p == 1.0:
-                norms += w[side] @ mags
-            else:
-                new = np.maximum(top, np.max(mags, axis=0))
-                live = new > 0
-                norms[live] *= (top[live] / new[live]) ** p
-                np.divide(mags, new, out=mags, where=live)
-                norms += w[side] @ mags**p
-                top = new
-    if 1.0 < p < math.inf:
-        norms = top * norms ** (1.0 / p)
-    return abs(c) * norms
-
-
 def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
     """log ||inverse(mult^n g)||_p for n = 0..n_max; p = 2 stays spectral (Parseval)."""
-    if not 1 <= n_max <= MAX_N_SPECTRAL:
+    if not 1 <= _integer(n_max, "n_max") <= MAX_N_SPECTRAL:
         raise ParameterError(f"n_max must lie in [1, {MAX_N_SPECTRAL}], got {n_max!r}")
     if not p >= 1:
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
@@ -269,7 +230,7 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
     cols, mx = _scaled_powers(g, log_mult, phase, ns)
     norms = np.zeros(ns.size)
     if cols.shape[1]:
-        norms[np.isfinite(mx)] = _folded_lp_norms(g, cols, p, x_rule)
+        norms[np.isfinite(mx)] = _lcdt_lp_norms(g.k, g.M.inverse(), x_rule, g.rule, cols, p)
     return [m + math.log(v) if v > 0 else -math.inf for m, v in zip(mx, norms)]
 
 
@@ -299,7 +260,7 @@ def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier):
 
 def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
     """n-th power of the inverse-matrix operator via the (i lam/b)^n multiplier."""
-    if n < 0:
+    if _integer(n, "operator power") < 0:
         raise ParameterError("operator power must be >= 0")
     return _power(f, k, M, n, _mult_i, lam_rule, x_rule)
 
@@ -307,7 +268,7 @@ def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> Sampled
 def apply_poly_op(f, k, M, P: RealPolynomial, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
     """P(i Lambda)^n realized as the spectral multiplier P(lam/b)^n."""
     P.require_nonconstant()
-    if n < 0:
+    if _integer(n, "operator power") < 0:
         raise ParameterError("operator power must be >= 0")
     return _power(f, k, M, n, _mult_poly(P), lam_rule, x_rule)
 
@@ -334,7 +295,7 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", lam_rule=None, x_r
     Series mode sums the certified truncation of sum_m n^m Delta^m f / m!
     physically, term by term, as an independent route to the same output.
     """
-    if n < 0:
+    if _integer(n, "heat time") < 0:
         raise ParameterError("heat time must be >= 0")
     if mode not in ("multiplier", "series"):
         raise ParameterError(f"unknown heat mode {mode!r}")
@@ -366,8 +327,8 @@ def norm_sequence(f, k, M, p: float, n_max: int, path: str = "spectral",
             _warn_if_edge_heavy(g, _mult_i(g.rule.nodes / mm.b)[0], range(n_max + 1))
         return seq
     if path == "symbolic":
-        if n_max > MAX_N_SYMBOLIC:
-            raise ParameterError(f"symbolic path supports n_max <= {MAX_N_SYMBOLIC}")
+        if not 0 <= _integer(n_max, "n_max") <= MAX_N_SYMBOLIC:
+            raise ParameterError(f"symbolic path supports n_max in [0, {MAX_N_SYMBOLIC}], got {n_max!r}")
         if not isinstance(f, SymExpr):
             raise ParameterError("the symbolic path needs a symbolic input")
         xr = _resolve_x_rule(f, x_rule)

@@ -30,7 +30,7 @@ edge; a truncated grid cannot distinguish "support beyond the edge"
 from "unbounded support", and the flag says exactly that.
 
 Noise note: frequency-side data produced by a forward transform carries
-a floor from x-truncation. On a bump at X = 320 (`bump_profile`) the
+a floor from x-truncation. On a bump at X = 320 (`corpus.bump_profile`) the
 round-trip error is 1.1e-6 to 1.6e-6 of the peak at k = 0.5, and up to
 4.8e-5 at |lam| < 0.3 for k = 2. Root-type estimators are insensitive
 to it (it enters the root as a 1/n-th power), but the heat detector

@@ -5,6 +5,9 @@ the Dunkl density folded into the weights. Zero is always a panel edge:
 the two panels there are Gauss-Jacobi, exact for the power |x|^(2k+1),
 and the others Gauss-Legendre, on which the density is smooth.
 
+L^p norms are reduced one way, by _lp_norms: lp_norm is its one-block
+case, and transform._lcdt_lp_norms feeds it folded blocks.
+
 Records are written one way: payload() is JSON data that from_payload
 reads back bit for bit, and _csv_text writes every CSV file of the
 package (spectra, sampled functions, norm sequences), numbers as repr.
@@ -244,25 +247,33 @@ def integrate(f: SampledFunction) -> complex:
     return complex(np.sum(f.rule.weights * f.values))
 
 
-def _scaled_lp(weights, mags, p: float):
-    """(sum_i weights_i mags_i^p)^(1/p) down the columns of mags (overwritten), 1 < p < inf.
+def _lp_norms(p: float, blocks, ncols: int) -> np.ndarray:
+    """(sum_i w_i m_i^p)^(1/p) down ncols columns over (weights w, moduli m) blocks, reduced as each lands.
 
-    Scaling each column by its largest entry keeps large p from underflowing or overflowing.
+    p = inf is max m. At 1 < p < inf each column keeps a running scale, its largest
+    modulus so far (m is overwritten), so that large p neither underflows nor overflows.
     """
-    top = np.max(mags, axis=0)
-    np.divide(mags, top, out=mags, where=top > 0)
-    mags **= p
-    return top * (weights @ mags) ** (1.0 / p)
+    if not p >= 1:
+        raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
+    norms, top = np.zeros(ncols), np.zeros(ncols)
+    for w, mags in blocks:
+        if p == math.inf:
+            np.maximum(norms, np.max(mags, axis=0), out=norms)
+        elif p == 1.0:
+            norms += w @ mags
+        else:
+            new = np.maximum(top, np.max(mags, axis=0))
+            live = new > 0
+            norms[live] *= (top[live] / new[live]) ** p
+            np.divide(mags, new, out=mags, where=live)
+            norms += w @ mags**p
+            top = new
+    return top * norms ** (1.0 / p) if 1.0 < p < math.inf else norms
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """L^p norm against the Dunkl measure; p = inf is the grid maximum."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    if not p >= 1:
-        raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
-    mags = np.abs(f.values)
-    return float(np.sum(f.rule.weights * mags) if p == 1.0 else _scaled_lp(f.rule.weights, mags, p))
+    return float(_lp_norms(p, [(f.rule.weights, np.abs(f.values)[:, None])], 1)[0])
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

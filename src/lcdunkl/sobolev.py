@@ -6,11 +6,13 @@ rather than equal: the toolkit reports measured ratios instead of
 pretending the constants away. The operator-sum norm reads its terms off
 the p = 2 norm sequence of `operators._sequence`.
 
-Spectral differentiation samples its input through `transform._sampled`,
-as lcdt_forward does: the same tail-bound warnings, and the same refusal
-of rules built for another k. Its plain Dunkl sums come from
-`transform._lcdt_folded` at (0, b; -1/b, 0), on the table pair that
-lcdt_forward caches for the same rule pair and |b|.
+Spectral differentiation reads its plain Dunkl values off
+`transform.lcdt_forward` at (0, b; -1/b, 0), whose chirps are 1, and
+divides its prefactor c = (ib)^(-(k+1)) out. So it samples through
+`transform._sampled` (the same tail-bound warnings, the same refusal of
+rules built for another k) and contracts through `transform._lcdt_folded`
+on the table pair cached for the same rule pair and |b|, as every
+forward transform does, without calling either itself.
 """
 
 import math
@@ -20,9 +22,9 @@ import numpy as np
 from .errors import ParameterError
 from .operators import _mult_i, _sequence, spectrum_of
 from .quadrature import QuadratureRule, SampledFunction, lp_norm
-from .specfun import CanonicalMatrix, _derivative_order, dunkl_kernel_dx, kval, matval
+from .specfun import CanonicalMatrix, _integer, dunkl_kernel_dx, kval, matval, principal_power
 from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
-from .transform import _lcdt_folded, _sampled, _unfold
+from .transform import lcdt_forward
 
 __all__ = [
     "sobolev_norm",
@@ -57,7 +59,7 @@ def sobolev_norm(f, k, M, s: float, lam_rule=None, x_rule=None) -> float:
 
 def sobolev_opsum_norm(f, k, M, m: int, lam_rule=None, x_rule=None) -> float:
     """sqrt of the sum over n <= m of squared L^2 operator-power norms."""
-    if m < 0 or m > MAX_OPSUM_ORDER:
+    if not 0 <= _integer(m, "operator-sum order") <= MAX_OPSUM_ORDER:
         raise ParameterError(f"operator-sum order must lie in [0, {MAX_OPSUM_ORDER}]")
     _, seq = _sequence(f, k, M, 2.0, max(m, 1), lam_rule, x_rule, _mult_i)
     return math.sqrt(float(np.sum(np.exp(2.0 * seq.lognorm[: m + 1]))))
@@ -108,19 +110,18 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
     derivatives come from the Bessel order-raising recurrence. Returns a
     SampledFunction when x_grid is a QuadratureRule, else the value array.
     """
-    n = _derivative_order(n)
+    n = _integer(n, "derivative order")
     if n < 0 or n > MAX_SPECTRAL_DERIVATIVE:
         raise ParameterError(f"spectral derivative order must lie in [0, {MAX_SPECTRAL_DERIVATIVE}]")
     kk = kval(k)
     mm = matval(M)
-    fs, _ = _sampled(f, kk, lam_rule, x_rule)
+    g = lcdt_forward(f, kk, CanonicalMatrix(0.0, mm.b, -1.0 / mm.b, 0.0), lam_rule, x_rule)
     mu = lam_rule.nodes / mm.b
-    ev, s, _ = _lcdt_folded(kk, CanonicalMatrix(0.0, mm.b, -1.0 / mm.b, 0.0), lam_rule, fs.rule, fs.values)
-    gvals = _unfold(lam_rule, ev, s)[:, 0]
     out_rule = x_grid if isinstance(x_grid, QuadratureRule) else None
     xs = out_rule.nodes if out_rule is not None else np.asarray(x_grid, dtype=np.float64)
     kermat = dunkl_kernel_dx(kk, n, mu[:, None], xs[None, :])
-    vals = abs(mm.b) ** (-(2.0 * kk + 2.0)) * ((lam_rule.weights * gvals) @ kermat)
+    pref = abs(mm.b) ** (-(2.0 * kk + 2.0)) / principal_power(1j * mm.b, -(kk + 1.0))
+    vals = pref * ((lam_rule.weights * g.values) @ kermat)
     if out_rule is not None:
         return SampledFunction(out_rule, vals, label=getattr(f, "label", ""))
     return vals

@@ -297,12 +297,12 @@ def _kernel_dx_terms(k: float, n: int):
     return terms
 
 
-def _derivative_order(n) -> int:
-    """n as an int (numpy integers too); a float, even 2.0, raises ParameterError."""
+def _integer(n, what: str) -> int:
+    """A count n as an int (numpy integers too); a float, even 2.0, raises ParameterError naming what."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ParameterError(f"derivative order must be an integer, got {n!r}") from None
+        raise ParameterError(f"{what} must be an integer, got {n!r}") from None
 
 
 def dunkl_kernel_dx(k, n: int, lam, x) -> np.ndarray:
@@ -311,7 +311,7 @@ def dunkl_kernel_dx(k, n: int, lam, x) -> np.ndarray:
     Broadcasts lam and x. Satisfies |d^n/dx^n E_k(i lam, x)| <= |lam|^n.
     """
     kk = kval(k)
-    n = _derivative_order(n)
+    n = _integer(n, "derivative order")
     if n < 0:
         raise ParameterError("derivative order must be >= 0")
     lam = np.asarray(lam, dtype=np.float64)

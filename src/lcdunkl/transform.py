@@ -17,18 +17,18 @@ C-ordered with its rows on the longer folded grid. On bump profiles
 that is |x|: the inverse of a p != 2 norm sequence contracts its
 n_max + 1 columns against C order, and the one-column forward
 transforms read the transposed view.
-_lcdt_folded is the one LCDT core; _lcdt_apply unfolds it onto output
-nodes, and p != 2 norm sequences read their norms off its row blocks.
+_lcdt_folded is the one LCDT core, and only this module reads its folded
+sums: _lcdt_apply unfolds them onto output nodes, and _lcdt_lp_norms
+reduces the L^p norms of p != 2 norm sequences off its row blocks.
 
-Every route that takes function input (lcdt_forward,
-chirp_factorized_forward, sobolev.derivative_via_spectrum) gets its
-samples from _sampled: it samples a SymExpr on the x rule and raises the
-tail-bound AccuracyWarnings, passes a SampledFunction through, and
-refuses rules built for another Dunkl parameter k. All three contract on
-the same table pair, keyed on unique|lam| x unique|x| at |b| with the
-lam rule's classes: the chirp route as _lcdt_apply at (0, b; -1/b, d),
-the spectral derivatives as _lcdt_folded at (0, b; -1/b, 0), where both
-chirps are 1.
+Every route that takes function input (lcdt_forward, which
+sobolev.derivative_via_spectrum reads at (0, b; -1/b, 0), and
+chirp_factorized_forward) gets its samples from _sampled: it samples a
+SymExpr on the x rule and raises the tail-bound AccuracyWarnings, passes
+a SampledFunction through, and refuses rules built for another Dunkl
+parameter k. All contract on the same table pair, keyed on
+unique|lam| x unique|x| at |b| with the lam rule's classes; the chirp
+route runs _lcdt_apply at (0, b; -1/b, d), whose x chirp is 1.
 
 A Spectrum is recorded in the format of quadrature: its payload() is
 its SampledFunction's plus metadata(), and its CSV comes from the one
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyWarning, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, _csv_text, _fields_equal
+from .quadrature import QuadratureRule, SampledFunction, _csv_text, _fields_equal, _lp_norms
 from .specfun import (_CHUNK, CanonicalMatrix, _clenshaw, _panel_fit, bessel_j_grid, kval, matval, principal_power,
                       regularized_gamma)
 from .symfun import SymExpr, evaluate, gaussian
@@ -114,6 +114,8 @@ class Spectrum:
 # folded kernel tables
 
 TABLE_BUDGET = 256 * 2**20  # bytes of kernel tables kept between calls
+# output classes per block of the p != 2 fold: at MAX_N_SPECTRAL its GEMM outputs stay under 128 KiB
+_FOLD_ROWS = 128
 _tables: dict = {}
 
 
@@ -158,20 +160,19 @@ def _bessel_tables(k: float, fa: np.ndarray, xa: np.ndarray, absb: float):
     return (got[0].T, got[1].T) if swap else got
 
 
-def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray,
-                 step=None):
-    """The LCDT at M of samples fvals on rule, folded onto the classes of out_rule: (ev, s, c).
+def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
+    """The LCDT at M of samples fvals on rule, folded onto the classes of out_rule: (sums, c).
 
-    fvals is a vector or an (n_x, m) block of columns. At an output node y
-    of class j the transform is c e^{i d y^2/(2b)} (ev_j - sign(y) s_j): ev
-    holds the even sums, s the odd sums times i sign(b), c = (ib)^(-(k+1)).
-    The chirped, weighted input folds onto unique|x| (two gathers through
-    rule.fold) and meets each real table in one GEMM, leaving out the outer
-    classes whose folded input is zero in every column (exact). The odd
-    table vanishes where |x| or |y| is 0, so a node at 0 joins the even sums only.
-    With step, the input is prepared once and the GEMMs run step output
-    classes at a time: (blocks, c) comes back, blocks yielding (rows, ev, s)
-    for the slice rows of the classes, in order.
+    fvals is a vector or an (n_x, m) block of columns. sums(rows) runs the
+    two GEMMs for the slice rows of the output classes and returns (ev, s):
+    at an output node y of class j the transform is
+    c e^{i d y^2/(2b)} (ev_j - sign(y) s_j), with ev the even sums, s the odd
+    sums times i sign(b) and c = (ib)^(-(k+1)). The chirped, weighted input
+    is prepared once: it folds onto unique|x| (two gathers through
+    rule.fold), leaving out the outer classes whose folded input is zero in
+    every column (exact), and meets each real table in one GEMM per call of
+    sums. The odd table vanishes where |x| or |y| is 0, so a node at 0 joins
+    the even sums only.
     """
     xa, pos, neg = rule.fold
     x = rule.nodes
@@ -191,11 +192,31 @@ def _lcdt_folded(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: Q
         s *= math.copysign(1.0, M.b) * 1j
         return ev, s
 
-    c = principal_power(1j * M.b, -(k + 1.0))
-    if step is None:
-        return (*sums(slice(None)), c)
-    blocks = (slice(lo, lo + step) for lo in range(0, even.shape[0], step))
-    return ((rows, *sums(rows)) for rows in blocks), c
+    return sums, principal_power(1j * M.b, -(k + 1.0))
+
+
+def _lcdt_lp_norms(k: float, M: CanonicalMatrix, out_rule: QuadratureRule, rule: QuadratureRule, cols: np.ndarray,
+                   p: float) -> np.ndarray:
+    """L^p norms on out_rule of the LCDT at M of the columns of cols, off the folded sums, never unfolded.
+
+    At y of class j the modulus is |c| |ev_j - sign(y) s_j|, so _lp_norms gets,
+    per block of _FOLD_ROWS classes and sign of y, the weights (0 where no
+    node has that sign) and the moduli.
+    """
+    sums, c = _lcdt_folded(k, M, out_rule, rule, cols)
+    _, pos, neg = out_rule.fold
+    w = np.append(out_rule.weights, 0.0)
+
+    def blocks():
+        for lo in range(0, pos.size, _FOLD_ROWS):
+            rows = slice(lo, lo + _FOLD_ROWS)
+            ev, s = sums(rows)
+            for combine, side in ((np.subtract, pos[rows]), (np.add, neg[rows])):
+                mags = np.abs(combine(ev, s))
+                mags[side == len(out_rule)] = 0.0
+                yield w[side], mags
+
+    return abs(c) * _lp_norms(p, blocks(), cols.shape[1])
 
 
 def _unfold(out_rule: QuadratureRule, ev: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -265,10 +286,10 @@ def tail_mass_estimate(e: SymExpr, rule: QuadratureRule):
 
 def _lcdt_apply(k: float, M: CanonicalMatrix, lam_rule: QuadratureRule, rule: QuadratureRule, fvals: np.ndarray):
     """_lcdt_folded unfolded onto the nodes lam of lam_rule; fvals is a vector or an (n_x, m) block."""
-    ev, s, c = _lcdt_folded(k, M, lam_rule, rule, fvals)
+    sums, c = _lcdt_folded(k, M, lam_rule, rule, fvals)
     lam = lam_rule.nodes
     chirp = np.exp(0.5j * (M.d / M.b) * lam * lam)[(slice(None),) + (None,) * (fvals.ndim - 1)]
-    return c * chirp * _unfold(lam_rule, ev, s).reshape(lam.shape + fvals.shape[1:])
+    return c * chirp * _unfold(lam_rule, *sums(slice(None))).reshape(lam.shape + fvals.shape[1:])
 
 
 def lcdt_forward(f, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule | None = None) -> "Spectrum":

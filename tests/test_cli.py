@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,26 @@ def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
     assert code == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["field"] == field
+
+
+OVERFLOWING_TERMS = {
+    "x^400": [{"coeff": [1.0, 0.0], "m": 400, "alpha": [-0.5, 0.0]}],
+    "beta 300": [{"coeff": [1.0, 0.0], "alpha": [-0.5, 0.0], "beta": [300.0, 0.0]}],
+    "two 1e308": [{"coeff": [1e308, 0.0], "alpha": [-0.5, 0.0]}, {"coeff": [1e308, 0.0], "m": 2, "alpha": [-0.5, 0.0]}],
+}
+
+
+@pytest.mark.parametrize("terms", OVERFLOWING_TERMS.values(), ids=OVERFLOWING_TERMS.keys())
+@pytest.mark.parametrize("command", ["transform", "estimate"])
+def test_expression_with_overflowing_samples_names_its_field(tmp_path, capsys, command, terms):
+    # every term is finite, its samples on the x rule are not: refused under
+    # function.expr, with no floating-point warning on the way
+    cfg = write_cfg(tmp_path, {"function": {"type": "symexpr", "expr": {"type": "sum_of_terms", "terms": terms}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+    out, err = capsys.readouterr()
+    assert code == 2 and json.loads(out)["error"]["field"] == "function.expr" and err == ""
 
 
 LEAVES = ["k", "matrix.a", "matrix.b", "matrix.c", "matrix.d", "grid.x_radius", "grid.x_panels",

@@ -8,10 +8,8 @@ from lcdunkl import transform
 from lcdunkl.corpus import bump_profile, bump_spectrum, bump_spectrum_values, gauss_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
 from lcdunkl.operators import (
-    _FOLD_ROWS,
     RealPolynomial,
     _apply_multiplier,
-    _folded_lp_norms,
     _mult_heat,
     _mult_i,
     _mult_laplacian,
@@ -30,10 +28,10 @@ from lcdunkl.paleywiener import (
     poly_domain_test,
     vanishing_interval_detect,
 )
-from lcdunkl.quadrature import QuadratureRule, SampledFunction, _scaled_lp, gaussian_mass_closed_form, lp_norm
+from lcdunkl.quadrature import QuadratureRule, SampledFunction, gaussian_mass_closed_form, lp_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
-from lcdunkl.transform import Spectrum, lcdt_forward, lcdt_inverse
+from lcdunkl.transform import _FOLD_ROWS, Spectrum, _lcdt_lp_norms, lcdt_forward, lcdt_inverse
 
 M_SHEAR = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
 M_ROT = CanonicalMatrix.rotation(math.pi / 3)
@@ -234,9 +232,43 @@ def test_norm_sequence_budgets(prof):
     for n_max in (0, -1, 61):
         with pytest.raises(ParameterError):
             norm_sequence(f, K, M_SHEAR, 2.0, n_max, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
-    for n_max in (21, 31):
+    for n_max in (-1, 21, 31):
         with pytest.raises(ParameterError):
             norm_sequence(f, K, M_SHEAR, 2.0, n_max, path="symbolic", x_rule=prof.x_rule)
+
+
+@pytest.mark.parametrize("n", [2.0, 1.5])
+def test_operator_powers_refuse_float_counts(prof, n):
+    # a float count, 2.0 included, is refused before any transform, in both heat modes
+    f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    calls = [
+        lambda: apply_power_spectral(f, K, M_SHEAR, n, **rules),
+        lambda: apply_poly_op(f, K, M_SHEAR, RealPolynomial((0.0, 0.0, 0.25)), n, **rules),
+        lambda: heat_semigroup(f, K, M_SHEAR, n, **rules),
+        lambda: heat_semigroup(f, K, M_SHEAR, n, mode="series", **rules),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call()
+
+
+def test_norm_sequences_refuse_float_n_max(prof):
+    f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    for p, n_max in ((2.0, 10.5), (2.0, 10.0), (1.0, 10.0)):
+        with pytest.raises(ParameterError, match="n_max must be an integer"):
+            norm_sequence(f, K, M_SHEAR, p, n_max, **rules)
+    with pytest.raises(ParameterError, match="n_max must be an integer"):
+        norm_sequence(f, K, M_SHEAR, 2.0, 2.0, path="symbolic", x_rule=prof.x_rule)
+
+
+def test_numpy_integer_counts_pass(prof):
+    f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    for n in (np.int64(2), np.int32(2)):
+        assert apply_power_spectral(f, K, M_SHEAR, n, **rules) == apply_power_spectral(f, K, M_SHEAR, 2, **rules)
+    assert heat_semigroup(f, K, M_SHEAR, np.int64(1), **rules) == heat_semigroup(f, K, M_SHEAR, 1, **rules)
+    for path in ("spectral", "symbolic"):
+        seq = norm_sequence(f, K, M_SHEAR, 2.0, np.int64(4), path=path, **rules)
+        assert seq.lognorm.shape == (5,)
 
 
 def _lognorms_one_n_at_a_time(g, log_mult, phase, p, n_max, x_rule):
@@ -411,15 +443,18 @@ def _bump_pair():
 
 
 def _dense_fold_norms(g, cols, p, x_rule):
-    """Reference for _folded_lp_norms: one GEMM per table over the whole pair, both signs stacked."""
-    ev, s, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols)
+    """Reference for _lcdt_lp_norms: one GEMM per table over the whole pair, both signs stacked."""
+    sums, c = transform._lcdt_folded(g.k, g.M.inverse(), x_rule, g.rule, cols)
+    ev, s = sums(slice(None))
     _, pos, neg = x_rule.fold
     side = np.concatenate([pos, neg])
     mags = np.abs(np.concatenate([ev - s, ev + s]))
     mags[side == len(x_rule)] = 0.0
     if p == math.inf:
         return abs(c) * np.max(mags, axis=0)
-    return abs(c) * _scaled_lp(np.append(x_rule.weights, 0.0)[side], mags, p)
+    top = np.max(mags, axis=0)
+    np.divide(mags, top, out=mags, where=top > 0)
+    return abs(c) * top * (np.append(x_rule.weights, 0.0)[side] @ mags**p) ** (1.0 / p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 1000.0, math.inf])
@@ -436,7 +471,7 @@ def test_blocked_fold_matches_one_dense_contraction(prof, p):
         log_mult, phase = _mult_i(g.rule.nodes / g.M.b)
         for ns in ([5], np.arange(61)):
             cols, _ = _scaled_powers(g, log_mult, phase, ns)
-            got = _folded_lp_norms(g, cols, p, x_rule)
+            got = _lcdt_lp_norms(g.k, g.M.inverse(), x_rule, g.rule, cols, p)
             want = _dense_fold_norms(g, cols, p, x_rule)
             assert np.all(want > 0)
             if p == math.inf:
@@ -452,10 +487,10 @@ def test_warm_fold_holds_one_row_block(p):
     # and one block, where the whole contraction's outputs took 3.45 MiB
     spec, x_rule = _bump_pair()
     cols, _ = _scaled_powers(spec, *_mult_i(spec.rule.nodes / M_SHEAR.b), np.arange(41))
-    _folded_lp_norms(spec, cols, p, x_rule)  # warm: the table pair is cached
+    _lcdt_lp_norms(spec.k, spec.M.inverse(), x_rule, spec.rule, cols, p)  # warm: the table pair is cached
     tracemalloc.start()
     try:
-        _folded_lp_norms(spec, cols, p, x_rule)
+        _lcdt_lp_norms(spec.k, spec.M.inverse(), x_rule, spec.rule, cols, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -242,6 +242,17 @@ def test_estimators_bound_n_max(pipe12, n_max):
             call()
 
 
+def test_estimators_refuse_float_n_max(pipe12):
+    # n_used would read 30.5, and at p != 2 a float n_max failed with an IndexError
+    prof, _, spec = pipe12
+    for call in (lambda: estimate_sigma(spec, K, M_SHEAR, n_max=30.5),
+                 lambda: estimate_sigma(spec, K, M_SHEAR, n_max=30.0),
+                 lambda: estimate_delta(spec, K, M_SHEAR, p=1.0, n_max=20.0, x_rule=prof.x_rule)):
+        with pytest.raises(ParameterError, match="n_max must be an integer"):
+            call()
+    assert estimate_sigma(spec, K, M_SHEAR, n_max=np.int64(30)).n_used == 30
+
+
 def test_one_contraction_per_norm_sequence(pipe12, monkeypatch):
     prof, f, spec = pipe12
     calls = []

@@ -17,16 +17,19 @@ MODULES = {m.name: importlib.import_module(f"lcdunkl.{m.name}") for m in pkgutil
 
 
 def resolves(module, name: str) -> bool:
-    """name (dotted or not) is defined in module, in a class of module, or in another lcdunkl module."""
+    """name is defined in module or in a class of it; a dotted name's head may be an lcdunkl module to look in.
+
+    A function or class imported from elsewhere does not count: it must have been defined in module.
+    """
     head, _, rest = name.partition(".")
     if head in MODULES:
         return not rest or resolves(MODULES[head], rest)
     if rest:
         return False
     classes = [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]
-    return (hasattr(module, name)
-            or any(hasattr(c, name) or name in getattr(c, "__dataclass_fields__", ()) for c in classes)
-            or any(hasattr(m, name) for m in MODULES.values()))
+    obj = vars(module).get(name)
+    imported = (inspect.isroutine(obj) or inspect.isclass(obj)) and obj.__module__ != module.__name__
+    return (name in vars(module) and not imported) or any(hasattr(c, name) or name in getattr(c, "__dataclass_fields__", ()) for c in classes)
 
 
 def readme_references():
@@ -61,6 +64,9 @@ def test_readme_python_block_runs(block):
 def test_references_are_found_and_a_missing_name_is_not():
     assert "transform._lcdt_folded" in readme_references() and ("specfun", "_clenshaw") in docstring_references()
     assert not resolves(MODULES["specfun"], "_no_such_table") and not resolves(MODULES["paleywiener"], "to_csv")
+    # a name counts only where it is defined, not in a module that imports it
+    assert resolves(MODULES["transform"], "_lcdt_lp_norms") and not resolves(MODULES["operators"], "_lcdt_lp_norms")
+    assert not resolves(MODULES["sobolev"], "lcdt_forward") and not resolves(MODULES["operators"], "_FOLD_ROWS")
 
 
 @pytest.mark.parametrize("ref", readme_references())

@@ -59,6 +59,13 @@ def test_opsum_order_zero(prof):
     assert got == pytest.approx(lp_norm(sf, 2.0), rel=1e-8)
 
 
+def test_opsum_order_must_be_an_integer(prof):
+    f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    with pytest.raises(ParameterError, match="operator-sum order must be an integer"):
+        sobolev_opsum_norm(f, K, M_SHEAR, 2.0, **rules)
+    assert sobolev_opsum_norm(f, K, M_SHEAR, np.int64(2), **rules) == sobolev_opsum_norm(f, K, M_SHEAR, 2, **rules)
+
+
 def test_opsum_collapses_at_b_one(prof):
     # for b = 1 the m = 1 operator sum equals the (1 + lam^2)-weighted
     # spectral integral exactly
