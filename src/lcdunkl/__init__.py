@@ -2,8 +2,8 @@
 
 Quadrature against the Dunkl measure, exact symbolic operator calculus,
 the forward/inverse transform with a chirp-factorized cross-check,
-Sobolev-norm machinery, and spectral-support estimators built on
-real Paley-Wiener limits.
+Sobolev norms and spectral differentiation, and spectral-support
+estimators built on real Paley-Wiener limits.
 """
 
 from .errors import (
@@ -28,7 +28,6 @@ from .paleywiener import (
     estimate_delta,
     estimate_sigma,
     poly_domain_test,
-    support_radius_oracle,
     vanishing_interval_detect,
 )
 from .quadrature import (
@@ -42,9 +41,6 @@ from .quadrature import (
 )
 from .sobolev import (
     derivative_via_spectrum,
-    seminorm_R,
-    seminorm_S,
-    seminorm_op,
     sobolev_norm,
     sobolev_opsum_norm,
 )
@@ -77,7 +73,6 @@ from .symfun import (
 from .transform import (
     Spectrum,
     chirp_factorized_forward,
-    dunkl_transform,
     lcdt_forward,
     lcdt_inverse,
 )

@@ -21,7 +21,7 @@ from . import verify as verify_mod
 from .corpus import bump_profile, bump_spectrum, gauss_profile, realize_bump
 from .errors import ParameterError, RangeError, ResourceBudgetError, ShapeMismatchError
 from .operators import MAX_N_SPECTRAL, RealPolynomial
-from .paleywiener import MIN_N_FIT, support_radius_oracle
+from .paleywiener import MIN_N_FIT
 from .specfun import U_MAX, CanonicalMatrix
 from .quadrature import SampledFunction
 from .symfun import evaluate, expr_from_json
@@ -204,14 +204,10 @@ def cmd_transform(cfg, given, out_dir):
 def cmd_estimate(cfg, given, which, out_dir):
     k, M, P, prof, (kind, data) = _build_context(cfg)
     est = cfg["estimator"]
-    f, oracle = data, None
+    f = data
     if kind == "bump":
         # only estimate_sigma takes physical input: the others need no inverse transform
-        if which == "sigma":
-            f, spec = realize_bump(k, M, data, prof)
-        else:
-            f = spec = bump_spectrum(k, M, data, prof)
-        oracle = support_radius_oracle(spec, 1e-10)
+        f = realize_bump(k, M, data, prof)[0] if which == "sigma" else bump_spectrum(k, M, data, prof)
 
     args = (f, k, M, P) if which == "poly" else (f, k, M)
     kwargs = {"p": est["p"], "n_max": max(est["n_max"], 40), "lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
@@ -222,8 +218,9 @@ def cmd_estimate(cfg, given, which, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     report = res.to_report()
     report["which"] = which
-    if oracle is not None:
-        report["support_radius_oracle"] = oracle
+    if kind == "bump":
+        # the exact support radius of the constructed spectrum
+        report["support_radius"] = max(abs(edge) for pair in data for edge in pair) / abs(M.b)
     report["sequence_csv"] = "sequence.csv"
     report["config"] = given
     _atomic_write(os.path.join(out_dir, "sequence.csv"), res.sequence.to_csv_text())

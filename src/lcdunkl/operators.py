@@ -220,7 +220,7 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
         raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
     ns = np.arange(n_max + 1)
     if p == 2.0:
-        L = 2.0 * _log_powers(log_mult, ns) + (2.0 * _log_abs(g.values) + np.log(g.rule.weights))
+        L = 2.0 * _log_powers(log_mult, ns) + (2.0 * _log_abs(g.values) + _log_abs(g.rule.weights))
         mx = np.max(L, axis=1)
         with np.errstate(invalid="ignore"):
             sums = np.sum(np.exp(L - mx[:, None]), axis=1)

@@ -51,7 +51,6 @@ from .transform import Spectrum
 
 __all__ = [
     "Estimate",
-    "support_radius_oracle",
     "estimate_sigma",
     "poly_domain_test",
     "compact_spectrum_test",
@@ -127,18 +126,6 @@ class Estimate:
 
     def to_report(self) -> dict:
         return {**self.values, "n_used": self.n_used, "converged": self.converged, "diagnostics": self.diagnostics}
-
-
-def support_radius_oracle(g: Spectrum, threshold: float) -> float:
-    """Largest |lam/b| whose magnitude exceeds threshold times the peak."""
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError("threshold must lie in (0, 1)")
-    mags = np.abs(g.values)
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    hot = np.abs(g.rule.nodes)[mags > threshold * peak]
-    return float(np.max(hot) / abs(g.M.b)) if hot.size else 0.0
 
 
 def _zero_input(n_max, seq, **values) -> Estimate:

@@ -1,4 +1,4 @@
-"""Sobolev norms, Schwartz seminorm families, and spectral differentiation.
+"""Sobolev norms and spectral differentiation.
 
 The W^s norm weighs the transform by (1+lam^2)^(s/2); its operator-sum
 counterpart adds squared norms of operator powers. Both are equivalent
@@ -21,30 +21,18 @@ import numpy as np
 
 from .errors import ParameterError
 from .operators import _mult_i, _sequence, spectrum_of
-from .quadrature import QuadratureRule, SampledFunction, lp_norm
+from .quadrature import QuadratureRule, SampledFunction
 from .specfun import CanonicalMatrix, _integer, dunkl_kernel_dx, kval, matval, principal_power
-from .symfun import SymExpr, Term, differentiate, evaluate, iterate_op
 from .transform import lcdt_forward
 
 __all__ = [
     "sobolev_norm",
     "sobolev_opsum_norm",
-    "seminorm_S",
-    "seminorm_R",
-    "seminorm_op",
     "derivative_via_spectrum",
-    "sup_grid",
 ]
 
 MAX_OPSUM_ORDER = 6
-MAX_SEMINORM_POWER = 12
 MAX_SPECTRAL_DERIVATIVE = 4
-
-
-def sup_grid(rule: QuadratureRule) -> np.ndarray:
-    """Quadrature nodes plus a 4x refined uniform overlay for sup norms."""
-    overlay = np.linspace(-rule.X, rule.X, 4 * len(rule) + 1)
-    return np.union1d(rule.nodes, overlay)
 
 
 def sobolev_norm(f, k, M, s: float, lam_rule=None, x_rule=None) -> float:
@@ -63,43 +51,6 @@ def sobolev_opsum_norm(f, k, M, m: int, lam_rule=None, x_rule=None) -> float:
         raise ParameterError(f"operator-sum order must lie in [0, {MAX_OPSUM_ORDER}]")
     _, seq = _sequence(f, k, M, 2.0, max(m, 1), lam_rule, x_rule, _mult_i)
     return math.sqrt(float(np.sum(np.exp(2.0 * seq.lognorm[: m + 1]))))
-
-
-def seminorm_S(phi: SymExpr, n: int, m: int, x_rule: QuadratureRule) -> float:
-    """sup over the grid of (1+x^2)^n |d^m phi/dx^m|."""
-    if n < 0 or m < 0:
-        raise ParameterError("seminorm indices must be >= 0")
-    e = phi
-    for _ in range(m):
-        e = differentiate(e)
-    xs = sup_grid(x_rule)
-    return float(np.max((1.0 + xs * xs) ** n * np.abs(evaluate(e, xs))))
-
-
-def seminorm_R(phi: SymExpr, p: int, q: int, x_rule: QuadratureRule) -> float:
-    """sup over the grid of |d^p/dx^p ((1+x^2)^q phi)|."""
-    if p < 0 or q < 0:
-        raise ParameterError("seminorm indices must be >= 0")
-    poly = SymExpr([Term(math.comb(q, j), m=2 * j) for j in range(q + 1)])
-    e = poly * phi
-    for _ in range(p):
-        e = differentiate(e)
-    xs = sup_grid(x_rule)
-    return float(np.max(np.abs(evaluate(e, xs))))
-
-
-def seminorm_op(phi: SymExpr, k, M, r: int, p: int, x_rule: QuadratureRule) -> float:
-    """L^2 norm of (1+x^2)^(r/2) times the p-th inverse-matrix operator power."""
-    if p < 0 or p > MAX_SEMINORM_POWER:
-        raise ParameterError(f"operator seminorm power must lie in [0, {MAX_SEMINORM_POWER}]")
-    if r < 0:
-        raise ParameterError("weight exponent must be >= 0")
-    kk = kval(k)
-    mm = matval(M)
-    e = iterate_op(kk, mm.inverse(), phi, p)
-    x = x_rule.nodes
-    vals = (1.0 + x * x) ** (0.5 * r) * evaluate(e, x)
-    return lp_norm(SampledFunction(x_rule, vals), 2.0)
 
 
 def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x_rule=None):

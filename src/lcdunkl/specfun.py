@@ -298,11 +298,13 @@ def _kernel_dx_terms(k: float, n: int):
 
 
 def _integer(n, what: str) -> int:
-    """A count n as an int (numpy integers too); a float, even 2.0, raises ParameterError naming what."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {n!r}") from None
+    """A count n as an int (numpy integers too); a bool or a float, even 2.0, raises ParameterError naming what."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {n!r}")
 
 
 def dunkl_kernel_dx(k, n: int, lam, x) -> np.ndarray:

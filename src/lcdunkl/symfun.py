@@ -232,6 +232,11 @@ class SymExpr:
 
     def __mul__(self, other):
         if isinstance(other, SymExpr):
+            if len(self.terms) * len(other.terms) > TERM_BUDGET:
+                raise ResourceBudgetError(
+                    f"product of {len(self.terms)} by {len(other.terms)} terms "
+                    f"passes the budget of {TERM_BUDGET} terms"
+                )
             return SymExpr([_mul_terms(a, b) for a in self.terms for b in other.terms], self.j + other.j)
         return self.scaled(other)
 

@@ -53,7 +53,6 @@ __all__ = [
     "lcdt_forward",
     "lcdt_inverse",
     "chirp_factorized_forward",
-    "dunkl_transform",
     "tail_mass_estimate",
 ]
 
@@ -310,11 +309,6 @@ def lcdt_inverse(g: Spectrum, x_rule: QuadratureRule) -> SampledFunction:
     """Inverse transform: lcdt_forward with the inverse matrix applied to g."""
     back = lcdt_forward(g.as_sampled(), g.k, g.M.inverse(), lam_rule=x_rule)
     return SampledFunction(x_rule, back.values, label=g.label)
-
-
-def dunkl_transform(f, k, lam_rule: QuadratureRule, x_rule: QuadratureRule | None = None) -> "Spectrum":
-    """Dunkl transform as the LCDT at M = (0, 1; -1, 0), whose prefactor i^(-(k+1)) it carries."""
-    return lcdt_forward(f, k, CanonicalMatrix(0.0, 1.0, -1.0, 0.0), lam_rule, x_rule=x_rule)
 
 
 def chirp_factorized_forward(f: SymExpr, k, M, lam_rule: QuadratureRule, x_rule: QuadratureRule) -> "Spectrum":

@@ -6,6 +6,7 @@ all loops are ordered, so two runs produce identical reports.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,9 +21,9 @@ from .corpus import (
     standard_corpus,
 )
 from .operators import heat_semigroup, norm_sequence
-from .paleywiener import estimate_delta, estimate_sigma, support_radius_oracle
+from .paleywiener import estimate_delta, estimate_sigma
 from .quadrature import SampledFunction, build_rule, inner_product, lp_norm
-from .sobolev import derivative_via_spectrum, seminorm_S, seminorm_op, sobolev_norm
+from .sobolev import derivative_via_spectrum, sobolev_norm
 from .specfun import (
     CanonicalMatrix,
     bessel_j_grid,
@@ -38,12 +39,10 @@ from .symfun import (
     evaluate,
     gaussian,
     iterate_op,
-    reflect,
 )
 from .transform import Spectrum, _bessel_tables, lcdt_forward
 
 SUITES = ("specfun", "transform", "operators", "sobolev", "pw")
-ORACLE_THRESHOLD = 1e-10
 
 
 def _check(name, suite, measured, tolerance, passed=None, detail=""):
@@ -167,7 +166,6 @@ def checks_specfun():
     )
 
     # symbolic derivatives against Richardson finite differences
-    M = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
     exprs = [
         gaussian(-0.5),
         gaussian(-1.0 + 0.25j, m=3),
@@ -205,15 +203,6 @@ def checks_specfun():
         for xv in (1e-6, -1e-6):
             worst = max(worst, abs(evaluate(o, xv) - v0) / (1.0 + abs(v0)))
     out.append(_check("removable_singularity", "specfun", worst, 1e-5))
-
-    grid = np.concatenate([np.linspace(-4.0, -0.1, 9), np.linspace(0.1, 4.0, 9)])
-    ok = True
-    e = gaussian(-0.6, m=1)
-    ops = ["diff", "reflect", "lcd", "diff", "lcd", "reflect"]
-    for op in ops:
-        e = differentiate(e) if op == "diff" else (reflect(e) if op == "reflect" else apply_lcd(0.5, M, e))
-        ok = ok and bool(np.all(np.isfinite(evaluate(e, grid))))
-    out.append(_check("operator_closure", "specfun", 0.0 if ok else 1.0, 0.5, detail="6-deep operator chain stays finite"))
     return out
 
 
@@ -269,12 +258,11 @@ def checks_transform():
     out.append(_check("hausdorff_young_slack", "transform", worst_hy, 1e-9, detail="max violation of the L^p -> L^q bound"))
     out.append(_check("riemann_lebesgue_decay", "transform", worst_rl, 1e-8))
 
-    # intertwining with symbolic iterates, n <= 6
+    # intertwining with symbolic iterates, n <= 6; beta != 0 runs through SymExpr.reflected
     worst = 0.0
     for k in SWEEP_K:
         prof = _gauss(k)
-        for M in SWEEP_M:
-            f = gaussian(-1.0, m=2)
+        for M, f in itertools.product(SWEEP_M, (gaussian(-1.0, m=2), gaussian(-1.0, m=2, beta=0.3))):
             base = lcdt_forward(f, k, M, prof.lam_rule, x_rule=prof.x_rule)
             mu = prof.lam_rule.nodes / M.b
             for n in (1, 3, 6):
@@ -377,14 +365,6 @@ def checks_sobolev():
     C, C2 = map(max, ratios)
     out.append(_check("embedding_constant_stability", "sobolev", abs(C2 - C) / C, 0.05,
                       detail=f"measured C={C:.6g}"))
-
-    # seminorm finiteness equivalence on the corpus
-    finite = True
-    for m in sym:
-        for r, p in ((0, 0), (2, 2), (4, 4)):
-            finite = finite and math.isfinite(seminorm_op(m.expr, k, M, r, p, prof.x_rule))
-            finite = finite and math.isfinite(seminorm_S(m.expr, r, p, prof.x_rule))
-    out.append(_check("seminorm_finiteness", "sobolev", 0.0 if finite else 1.0, 0.5))
     return out
 
 
@@ -399,15 +379,15 @@ def checks_pw():
     worst_ratio, worst_root = 0.0, 0.0
     for M in SWEEP_M:
         prof = _bump(k, intervals, M.b)
-        f, spec = realize_bump(k, M, intervals, prof)
-        oracle = support_radius_oracle(spec, ORACLE_THRESHOLD)
+        f, _ = realize_bump(k, M, intervals, prof)
+        sup = 2.0 / abs(M.b)  # the exact support radius max|edge| / |b|
         est = estimate_sigma(f, k, M, p=2.0, n_max=30, method="ratio", lam_rule=prof.lam_rule)
-        worst_ratio = max(worst_ratio, abs(est.sigma_hat - oracle) / oracle)
+        worst_ratio = max(worst_ratio, abs(est.sigma_hat - sup) / sup)
         for p in (1.0, 2.0, math.inf):
             est = estimate_sigma(f, k, M, p=p, n_max=50, method="root", lam_rule=prof.lam_rule)
-            worst_root = max(worst_root, abs(est.sigma_hat - oracle) / oracle)
-    out.append(_check("sigma_ratio_vs_oracle", "pw", worst_ratio, 0.02))
-    out.append(_check("sigma_root_vs_oracle", "pw", worst_root, 0.10))
+            worst_root = max(worst_root, abs(est.sigma_hat - sup) / sup)
+    out.append(_check("sigma_ratio_vs_support", "pw", worst_ratio, 0.02))
+    out.append(_check("sigma_root_vs_support", "pw", worst_root, 0.10))
 
     M = SWEEP_M[1]
     prof = _bump(k, intervals, M.b)

@@ -25,7 +25,6 @@ from lcdunkl.paleywiener import (
     estimate_delta,
     estimate_sigma,
     poly_domain_test,
-    support_radius_oracle,
 )
 from lcdunkl.quadrature import SampledFunction, build_rule, lp_norm
 from lcdunkl.sobolev import derivative_via_spectrum, sobolev_norm
@@ -41,7 +40,6 @@ from lcdunkl.symfun import (
 from lcdunkl.transform import Spectrum, lcdt_forward, lcdt_inverse
 
 K_EST = 0.5
-ORACLE_THRESHOLD = 1e-10
 
 _gauss_cache = {}
 _bump_cache = {}
@@ -177,13 +175,13 @@ def test_ac07_sigma_estimators():
     worst_ratio, worst_root = 0.0, 0.0
     for M in SWEEP_M:
         prof = bump(K_EST, intervals, M.b)
-        f, spec = realize_bump(K_EST, M, intervals, prof)
-        oracle = support_radius_oracle(spec, ORACLE_THRESHOLD)
+        f, _ = realize_bump(K_EST, M, intervals, prof)
+        sup = 2.0 / abs(M.b)  # the exact support radius max|edge| / |b|
         est = estimate_sigma(f, K_EST, M, p=2.0, n_max=30, method="ratio", lam_rule=prof.lam_rule)
-        worst_ratio = max(worst_ratio, abs(est.sigma_hat - oracle) / oracle)
+        worst_ratio = max(worst_ratio, abs(est.sigma_hat - sup) / sup)
         for p in (1.0, 2.0, math.inf):
             est = estimate_sigma(f, K_EST, M, p=p, n_max=50, method="root", lam_rule=prof.lam_rule)
-            worst_root = max(worst_root, abs(est.sigma_hat - oracle) / oracle)
+            worst_root = max(worst_root, abs(est.sigma_hat - sup) / sup)
     prof = bump(K_EST, intervals, 1.0)
     zero = SampledFunction(prof.x_rule, np.zeros(len(prof.x_rule)))
     zero_est = estimate_sigma(zero, K_EST, SWEEP_M[1], lam_rule=prof.lam_rule)
@@ -200,7 +198,7 @@ def test_ac08_polynomial_domain():
     prof = bump(K_EST, intervals, 1.0)
     vals = bump_spectrum_values(prof.lam_rule.nodes, intervals)
     spec = Spectrum(prof.lam_rule, vals, K_EST, SWEEP_M[1])
-    sup = support_radius_oracle(spec, ORACLE_THRESHOLD)
+    sup = 2.0  # the exact support radius max|edge| / |b|
     quarter = RealPolynomial((0.0, 0.0, 0.25))
     square = RealPolynomial((0.0, 0.0, 1.0))
     r1 = poly_domain_test(spec, K_EST, SWEEP_M[1], quarter, n_max=40, lam_rule=prof.lam_rule)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -156,6 +157,22 @@ def test_bad_field_exit_code(tmp_path, capsys, command, cfg, field):
     assert err["error"]["field"] == field
 
 
+def test_transform_refuses_an_oversized_product_before_forming_it(tmp_path, capsys):
+    # six ten-term sums whose products never merge would reach 10^6 terms;
+    # the sixth factor is refused under TERM_BUDGET before its product exists
+    factors = [{"type": "sum_of_terms", "terms": [
+        {"coeff": [1.0, 0.0], "m": 0, "alpha": [-0.5, 0.0], "beta": [i * 10.0 ** (f - 6), 0.0]} for i in range(10)]}
+        for f in range(6)]
+    cfg = write_cfg(tmp_path, {"function": {"type": "symexpr", "expr": {"type": "product", "children": factors}}})
+    t0 = time.perf_counter()
+    code = main(["transform", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2 and time.perf_counter() - t0 < 10.0
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["field"] == "function.expr" and "ResourceBudgetError" in err["message"]
+    assert captured.err == ""
+
+
 OVERFLOWING_TERMS = {
     "x^400": [{"coeff": [1.0, 0.0], "m": 400, "alpha": [-0.5, 0.0]}],
     "beta 300": [{"coeff": [1.0, 0.0], "alpha": [-0.5, 0.0], "beta": [300.0, 0.0]}],
@@ -249,9 +266,20 @@ def test_estimate_sigma_bump(tmp_path):
     out = tmp_path / "run"
     assert main(["estimate", "--which", "sigma", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert abs(report["sigma_hat"] - report["support_radius_oracle"]) <= 0.02 * report["support_radius_oracle"]
+    # the default bump [1, 2] at b = 1: the exact support radius is 2
+    assert report["support_radius"] == 2.0
+    assert abs(report["sigma_hat"] - report["support_radius"]) <= 0.02 * report["support_radius"]
     seq = (out / "sequence.csv").read_text().splitlines()
     assert seq[0] == "n,lognorm,root,ratio"
+
+
+def test_estimate_reports_the_exact_support_radius(tmp_path):
+    # max|edge| / |b| over every interval, a negative one included
+    cfg = write_cfg(tmp_path, {"matrix": {"a": 1.0, "b": 2.0, "c": 0.0, "d": 1.0},
+                               "function": {"type": "bump", "intervals": [[-3.0, -1.0], [1.0, 2.0]]}})
+    out = tmp_path / "run"
+    assert main(["estimate", "--which", "delta", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["support_radius"] == 1.5
 
 
 def test_estimate_delta_bump(tmp_path):
@@ -274,7 +302,7 @@ def test_estimate_compact_bump(tmp_path):
     assert main(["estimate", "--which", "compact", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["compact"] is True
-    assert report["sigma2_hat"] == pytest.approx(report["support_radius_oracle"] ** 2, rel=0.05)
+    assert report["sigma2_hat"] == pytest.approx(report["support_radius"] ** 2, rel=0.05)
 
 
 def test_estimate_vanishing_bump(tmp_path):
@@ -299,7 +327,7 @@ def test_estimate_report_keys(tmp_path, which, headline):
     out = tmp_path / "run"
     assert main(["estimate", "--which", which, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    common = {"n_used", "converged", "diagnostics", "which", "support_radius_oracle", "sequence_csv", "config"}
+    common = {"n_used", "converged", "diagnostics", "which", "support_radius", "sequence_csv", "config"}
     assert set(report) == headline | common
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lcdunkl.paleywiener import (
     vanishing_interval_detect,
 )
 from lcdunkl.quadrature import QuadratureRule, SampledFunction, gaussian_mass_closed_form, lp_norm
+from lcdunkl.sobolev import derivative_via_spectrum
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import evaluate, gaussian, iterate_op
 from lcdunkl.transform import _FOLD_ROWS, Spectrum, _lcdt_lp_norms, lcdt_forward, lcdt_inverse
@@ -261,6 +263,19 @@ def test_norm_sequences_refuse_float_n_max(prof):
         norm_sequence(f, K, M_SHEAR, 2.0, 2.0, path="symbolic", x_rule=prof.x_rule)
 
 
+@pytest.mark.parametrize("count", ["power", "derivative order", "n_max"])
+def test_counts_refuse_bools(prof, count):
+    # True is not the count 1
+    f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    call = {
+        "power": lambda: apply_power_spectral(f, K, M_SHEAR, True, **rules),
+        "derivative order": lambda: derivative_via_spectrum(f, K, M_SHEAR, True, prof.x_rule, **rules),
+        "n_max": lambda: norm_sequence(f, K, M_SHEAR, 2.0, True, **rules),
+    }[count]
+    with pytest.raises(ParameterError, match="must be an integer, got True"):
+        call()
+
+
 def test_numpy_integer_counts_pass(prof):
     f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
     for n in (np.int64(2), np.int32(2)):
@@ -402,6 +417,20 @@ def test_identity_power_does_not_warn():
         heat_semigroup(f, K, M_SHEAR, 0, lam_rule=profb.lam_rule),
     ):
         assert np.max(np.abs(out.values - f.values)) <= 1e-6 * np.max(np.abs(f.values))
+
+
+def test_p2_lognorms_take_a_zero_weight_silently():
+    # a lambda weight that underflows to 0 contributes nothing: no divide-by-zero warning from its log
+    k, iv = 60.0, ((-0.3, 3.3),)
+    lam = bump_profile(k, iv).lam_rule
+    w = lam.weights.copy()
+    w[np.argmin(w)] = 0.0
+    rule = QuadratureRule(lam.nodes, w, lam.X, k)
+    spec = Spectrum(rule, bump_spectrum_values(rule.nodes, iv), k, M_SHEAR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = estimate_delta(spec, k, M_SHEAR, n_max=40)
+    assert est.delta_hat == 0.0
 
 
 def test_spectrum_for_another_k_or_M_is_refused():

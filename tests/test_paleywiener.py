@@ -14,7 +14,6 @@ from lcdunkl.paleywiener import (
     estimate_delta,
     estimate_sigma,
     poly_domain_test,
-    support_radius_oracle,
     vanishing_interval_detect,
 )
 from lcdunkl.quadrature import SampledFunction
@@ -24,7 +23,7 @@ from lcdunkl.transform import Spectrum
 
 K = 0.5
 M_SHEAR = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
-THRESH = 1e-10
+SUP = 2.0  # the exact support radius max|edge| / |b| of the pipe12 bump
 
 
 @pytest.fixture(scope="module")
@@ -34,37 +33,17 @@ def pipe12():
     return prof, f, spec
 
 
-def test_support_radius_oracle(pipe12):
-    prof, f, spec = pipe12
-    got = support_radius_oracle(spec, THRESH)
-    assert got == pytest.approx(2.0, abs=0.05)
-    zero = Spectrum(prof.lam_rule, np.zeros(len(prof.lam_rule)), K, M_SHEAR)
-    assert support_radius_oracle(zero, THRESH) == 0.0
-    with pytest.raises(ParameterError):
-        support_radius_oracle(spec, 1.5)
-
-
-def test_support_radius_oracle_union_scaled():
-    M2 = CanonicalMatrix(1.0, 2.0, 0.0, 1.0)
-    prof = bump_profile(K, ((-3.0, -1.0), (1.0, 2.0)), b=2.0)
-    vals = bump_spectrum_values(prof.lam_rule.nodes, ((-3.0, -1.0), (1.0, 2.0)))
-    spec = Spectrum(prof.lam_rule, vals, K, M2)
-    assert support_radius_oracle(spec, THRESH) == pytest.approx(1.5, abs=0.05)
-
-
 def test_sigma_ratio_bump(pipe12):
-    prof, f, spec = pipe12
+    prof, f, _ = pipe12
     est = estimate_sigma(f, K, M_SHEAR, p=2.0, n_max=30, method="ratio", lam_rule=prof.lam_rule)
-    oracle = support_radius_oracle(spec, THRESH)
-    assert abs(est.sigma_hat - oracle) <= 0.02 * oracle
+    assert abs(est.sigma_hat - SUP) <= 0.02 * SUP
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_sigma_root_bump(pipe12, p):
-    prof, f, spec = pipe12
+    prof, f, _ = pipe12
     est = estimate_sigma(f, K, M_SHEAR, p=p, n_max=50, method="root", lam_rule=prof.lam_rule)
-    oracle = support_radius_oracle(spec, THRESH)
-    assert abs(est.sigma_hat - oracle) <= 0.10 * oracle
+    assert abs(est.sigma_hat - SUP) <= 0.10 * SUP
 
 
 def test_sigma_zero_function(pipe12):
@@ -103,17 +82,14 @@ def test_sigma_rejects_nan_p(pipe12):
 
 def test_sigma_scaling_covariance(pipe12):
     # replacing b by 2b (c by c/2) halves sigma
-    prof1, f1, spec1 = pipe12
+    prof1, f1, _ = pipe12
     M2 = CanonicalMatrix(M_SHEAR.a, 2.0 * M_SHEAR.b, M_SHEAR.c / 2.0, M_SHEAR.d)
     prof2 = bump_profile(K, ((1.0, 2.0),), b=M2.b)
-    f2, spec2 = realize_bump(K, M2, ((1.0, 2.0),), prof2)
+    f2, _ = realize_bump(K, M2, ((1.0, 2.0),), prof2)
     e1 = estimate_sigma(f1, K, M_SHEAR, n_max=30, method="ratio", lam_rule=prof1.lam_rule)
     e2 = estimate_sigma(f2, K, M2, n_max=30, method="ratio", lam_rule=prof2.lam_rule)
     assert e2.sigma_hat == pytest.approx(e1.sigma_hat / 2.0, rel=0.02)
-    # oracle edges land on different grids, so agreement is up to spacing
-    assert support_radius_oracle(spec2, THRESH) == pytest.approx(
-        support_radius_oracle(spec1, THRESH) / 2.0, rel=0.01
-    )
+    assert e2.sigma_hat == pytest.approx(SUP / 2.0, rel=0.02)
 
 
 def test_sigma_monotone_in_support(pipe12):
@@ -130,27 +106,25 @@ def test_poly_domain_cases(pipe12):
     # squared multipliers weight the stopband hard: by n ~ 35 the
     # truncation floor of a forward-transformed input would take over,
     # so the detector gets the constructed spectrum (exact zeros there)
-    prof, f, spec = pipe12
-    oracle_sup = support_radius_oracle(spec, THRESH)
+    prof, _, spec = pipe12
     quarter = RealPolynomial((0.0, 0.0, 0.25))
     est = poly_domain_test(spec, K, M_SHEAR, quarter, n_max=40, lam_rule=prof.lam_rule)
     assert est.inside
-    assert est.score == pytest.approx(oracle_sup**2 / 4.0, rel=0.05)
+    assert est.score == pytest.approx(SUP**2 / 4.0, rel=0.05)
     square = RealPolynomial((0.0, 0.0, 1.0))
     est2 = poly_domain_test(spec, K, M_SHEAR, square, n_max=40, lam_rule=prof.lam_rule)
     assert not est2.inside
-    assert est2.score == pytest.approx(oracle_sup**2, rel=0.05)
+    assert est2.score == pytest.approx(SUP**2, rel=0.05)
     z = SampledFunction(prof.x_rule, np.zeros(len(prof.x_rule)))
     est3 = poly_domain_test(z, K, M_SHEAR, square, lam_rule=prof.lam_rule)
     assert est3.inside and est3.score == 0.0
 
 
 def test_compact_spectrum(pipe12):
-    prof, f, spec = pipe12
+    prof, _, spec = pipe12
     est = compact_spectrum_test(spec, K, M_SHEAR, n_max=40, lam_rule=prof.lam_rule)
-    oracle = support_radius_oracle(spec, THRESH)
     assert est.compact
-    assert est.sigma2_hat == pytest.approx(oracle**2, rel=0.05)
+    assert est.sigma2_hat == pytest.approx(SUP**2, rel=0.05)
     gp = gauss_profile(K)
     est2 = compact_spectrum_test(gaussian(-0.5), K, M_SHEAR, n_max=40, lam_rule=gp.lam_rule, x_rule=gp.x_rule)
     assert not est2.compact

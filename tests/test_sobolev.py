@@ -8,9 +8,6 @@ from lcdunkl.errors import AccuracyWarning, ParameterError
 from lcdunkl.quadrature import SampledFunction, lp_norm
 from lcdunkl.sobolev import (
     derivative_via_spectrum,
-    seminorm_R,
-    seminorm_S,
-    seminorm_op,
     sobolev_norm,
     sobolev_opsum_norm,
 )
@@ -83,35 +80,6 @@ def test_opsum_comparable_to_sobolev(prof):
         b = sobolev_opsum_norm(member.expr, K, M_ROT, 2, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
         ratios.append((a / b) ** 2)
     assert max(ratios) / min(ratios) < 4.0
-
-
-def test_seminorm_S_examples(prof):
-    phi = gaussian(-0.5)
-    assert seminorm_S(phi, 0, 0, prof.x_rule) == pytest.approx(1.0, abs=1e-6)
-    # sup (1+x^2) e^{-x^2/2} = 2 e^{-1/2} attained at x = +-1
-    assert seminorm_S(phi, 1, 0, prof.x_rule) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-5)
-    zero = gaussian(-0.5, coeff=0.0)
-    assert seminorm_S(zero, 2, 1, prof.x_rule) == 0.0
-
-
-def test_seminorm_R_examples(prof):
-    phi = gaussian(-0.5)
-    assert seminorm_R(phi, 0, 0, prof.x_rule) == pytest.approx(1.0, abs=1e-6)
-    assert seminorm_R(phi, 0, 1, prof.x_rule) == pytest.approx(seminorm_S(phi, 1, 0, prof.x_rule), abs=1e-12)
-
-
-def test_seminorm_op_basics(prof):
-    phi = gaussian(-0.5)
-    got = seminorm_op(phi, K, M_ROT, 0, 0, prof.x_rule)
-    sf = SampledFunction(prof.x_rule, evaluate(phi, prof.x_rule.nodes))
-    assert got == pytest.approx(lp_norm(sf, 2.0), rel=1e-12)
-    zero = gaussian(-0.5, coeff=0.0)
-    assert seminorm_op(zero, K, M_ROT, 2, 3, prof.x_rule) == 0.0
-    for member in symbolic_members():
-        for r in (0, 2, 4):
-            for p in (0, 2, 4):
-                v = seminorm_op(member.expr, K, M_ROT, r, p, prof.x_rule)
-                assert math.isfinite(v)
 
 
 def test_derivative_via_spectrum_identity(prof):

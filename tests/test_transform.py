@@ -17,7 +17,6 @@ from lcdunkl.symfun import SymExpr, Term, evaluate, gaussian, iterate_op
 from lcdunkl.transform import (
     Spectrum,
     chirp_factorized_forward,
-    dunkl_transform,
     lcdt_forward,
     lcdt_inverse,
     tail_mass_estimate,
@@ -77,19 +76,16 @@ def test_fourier_matrix_reduces_to_dunkl(k):
     x_rule, lam_rule = rules(k)
     f = gaussian(-0.5, m=1, coeff=0.4 + 1j)
     lcdt = lcdt_forward(f, k, M_FOURIER, lam_rule, x_rule=x_rule)
-    dunkl = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
     sums, c = transform._lcdt_folded(k, M_FOURIER, lam_rule, x_rule, evaluate(f, x_rule.nodes))
     plain = transform._unfold(lam_rule, *sums(slice(None)))[:, 0]
     pref = principal_power(1j, -(k + 1.0))
     assert c == pref
-    assert dunkl.M == M_FOURIER
-    assert np.max(np.abs(dunkl.values - lcdt.values)) <= 1e-12
     assert np.max(np.abs(lcdt.values - pref * plain)) <= 1e-9
 
 
 def test_dunkl_transform_round_trip():
     prof = gauss_profile(0.5)
-    g = dunkl_transform(gaussian(-0.5), 0.5, prof.lam_rule, x_rule=prof.x_rule)
+    g = lcdt_forward(gaussian(-0.5), 0.5, M_FOURIER, prof.lam_rule, x_rule=prof.x_rule)
     back = lcdt_inverse(g, prof.x_rule)
     assert np.max(np.abs(back.values - evaluate(gaussian(-0.5), prof.x_rule.nodes))) <= 1e-6
 
@@ -134,11 +130,13 @@ def test_chirp_factorized_path_agrees(k, M, expr, tol):
 
 
 def test_dunkl_fourier_reduction():
+    # at k = -1/2 the Dunkl transform of e^(-x^2/2) is e^(-lam^2/2), phase
+    # included: the LCDT at M_FOURIER is that times i^(-1/2)
     x_rule, lam_rule = rules(-0.5)
-    g = dunkl_transform(gaussian(-0.5), -0.5, lam_rule, x_rule=x_rule)
+    g = lcdt_forward(gaussian(-0.5), -0.5, M_FOURIER, lam_rule, x_rule=x_rule)
     mask = np.abs(lam_rule.nodes) <= 5.0
-    prof = np.abs(g.values[mask]) / np.exp(-lam_rule.nodes[mask] ** 2 / 2)
-    assert np.max(np.abs(prof - 1.0)) <= 1e-8
+    want = principal_power(1j, -0.5) * np.exp(-lam_rule.nodes[mask] ** 2 / 2)
+    assert np.max(np.abs(g.values[mask] - want)) <= 1e-8
 
 
 def test_dunkl_intertwining_sign():
@@ -148,10 +146,10 @@ def test_dunkl_intertwining_sign():
     k = 0.5
     x_rule, lam_rule = rules(k)
     f = gaussian(-1.0)
-    base = dunkl_transform(f, k, lam_rule, x_rule=x_rule)
+    base = lcdt_forward(f, k, M_FOURIER, lam_rule, x_rule=x_rule)
     for n in (1, 2, 3, 4):
         it = iterate_op(k, M_FOURIER.inverse(), f, n)  # inverse of (0,1;-1,0) has d-entry 0
-        got = dunkl_transform(it, k, lam_rule, x_rule=x_rule)
+        got = lcdt_forward(it, k, M_FOURIER, lam_rule, x_rule=x_rule)
         want = (1j * lam_rule.nodes) ** n * base.values
         denom = np.max(np.abs(want))
         assert np.max(np.abs(got.values - want)) <= 1e-7 * denom
