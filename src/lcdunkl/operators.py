@@ -5,13 +5,16 @@ computed in log space so sigma^n growth never overflows) and, where the
 input is symbolic, an exact physical route through the operator calculus.
 Operator powers are powers of the inverse-matrix operator: the transform
 turns that operator into multiplication by (i lam / b). The multipliers
-m(mu), mu = lam / b, of the operator, of P(i Lambda), of the Laplacian
-and of the heat flow are defined here once, as mu -> (log|m|, m/|m|):
-`_power` applies m^n, and `_sequence` (shared by `norm_sequence` and
-every estimator) takes the log-norms of inverse(m^n g), n <= n_max. At
-p = 2 those stay spectral (Parseval); at p != 2
-`transform._lcdt_lp_norms` reads them off one folded contraction of the
-n_max + 1 multiplied spectra.
+m(mu), mu = lam / b, of the operator, of P(i Lambda), of the Laplacian,
+of the heat flow and of the W^s weight are defined here once, as
+mu -> (log|m|, m/|m|). `_resolved` is the one input resolver: it turns
+any input into (k, M, x rule, spectrum). `_power` applies m^n to its
+spectrum, and `_sequence` is the one setup of every spectral entry point
+(`norm_sequence`, both Sobolev norms, every estimator): it checks p and
+n_max before anything is transformed, then takes the log-norms of
+inverse(m^n g), n <= n_max. At p = 2 those stay spectral (Parseval), the
+one L^2 spectral sum; at p != 2 `transform._lcdt_lp_norms` reads them
+off one folded contraction of the n_max + 1 multiplied spectra.
 """
 
 import math
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, ComputationError, ParameterError
-from .quadrature import QuadratureRule, SampledFunction, _csv_text, lp_norm
+from .quadrature import SampledFunction, _csv_text, lp_norm
 from .specfun import _integer, kval, matval
 from .symfun import SymExpr, apply_lcd, evaluate
 from .transform import Spectrum, _lcdt_apply, _lcdt_lp_norms, lcdt_forward
@@ -34,7 +37,6 @@ __all__ = [
     "apply_poly_op",
     "heat_semigroup",
     "norm_sequence",
-    "spectrum_of",
 ]
 
 MAX_N_SPECTRAL = 60
@@ -116,23 +118,19 @@ class NormSequence:
         return res
 
 
-def spectrum_of(f, k, M, lam_rule: QuadratureRule | None, x_rule: QuadratureRule | None = None) -> Spectrum:
-    """Forward transform of f, or f itself when already frequency-side data for k and M."""
+def _resolved(f, k, M, lam_rule, x_rule, need_x=True):
+    """k, M, the x rule (x_rule, else the rule f is sampled on; None only if not need_x) and the spectrum of f."""
+    kk, mm = kval(k), matval(M)
+    xr = f.rule if x_rule is None and isinstance(f, SampledFunction) else x_rule
+    if xr is None and (need_x or isinstance(f, SymExpr)):
+        raise ParameterError("x_rule is required when the input carries no physical grid")
     if isinstance(f, Spectrum):
-        if f.k != kval(k) or f.M != matval(M):
-            raise ParameterError(f"spectrum is for k = {f.k!r}, M = {f.M}; got k = {kval(k)!r}, M = {matval(M)}")
-        return f
+        if f.k != kk or f.M != mm:
+            raise ParameterError(f"spectrum is for k = {f.k!r}, M = {f.M}; got k = {kk!r}, M = {mm}")
+        return kk, mm, xr, f
     if lam_rule is None:
         raise ParameterError("a frequency rule is required for physical-side input")
-    return lcdt_forward(f, k, M, lam_rule, x_rule=x_rule)
-
-
-def _resolve_x_rule(f, x_rule):
-    if x_rule is not None:
-        return x_rule
-    if isinstance(f, SampledFunction):
-        return f.rule
-    raise ParameterError("x_rule is required when the input carries no physical grid")
+    return kk, mm, xr, lcdt_forward(f, kk, mm, lam_rule, x_rule=xr)
 
 
 def _log_abs(values):
@@ -157,6 +155,10 @@ def _mult_laplacian(mu):  # -mu^2
 
 def _mult_heat(mu):  # exp(-mu^2), the heat flow at time 1
     return -(mu**2), np.ones_like(mu)
+
+
+def _mult_sobolev(s, b):  # (1 + lam^2)^(s/2) at lam = b mu, the W^s weight
+    return lambda mu: (0.5 * s * np.log1p((b * mu) ** 2), np.ones_like(mu))
 
 
 def _log_powers(log_mult, ns):
@@ -214,10 +216,6 @@ def _scaled_powers(g: Spectrum, log_mult, phase, ns):
 
 def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
     """log ||inverse(mult^n g)||_p for n = 0..n_max; p = 2 stays spectral (Parseval)."""
-    if not 1 <= _integer(n_max, "n_max") <= MAX_N_SPECTRAL:
-        raise ParameterError(f"n_max must lie in [1, {MAX_N_SPECTRAL}], got {n_max!r}")
-    if not p >= 1:
-        raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
     ns = np.arange(n_max + 1)
     if p == 2.0:
         L = 2.0 * _log_powers(log_mult, ns) + (2.0 * _log_abs(g.values) + _log_abs(g.rule.weights))
@@ -225,20 +223,11 @@ def _multiplier_lognorms(g: Spectrum, log_mult, phase, p, n_max, x_rule):
         with np.errstate(invalid="ignore"):
             sums = np.sum(np.exp(L - mx[:, None]), axis=1)
         return [0.5 * (m + math.log(s)) if np.isfinite(m) else -math.inf for m, s in zip(mx, sums)]
-    if x_rule is None:
-        raise ParameterError("p != 2 needs a physical rule for the norms")
     cols, mx = _scaled_powers(g, log_mult, phase, ns)
     norms = np.zeros(ns.size)
     if cols.shape[1]:
         norms[np.isfinite(mx)] = _lcdt_lp_norms(g.k, g.M.inverse(), x_rule, g.rule, cols, p)
     return [m + math.log(v) if v > 0 else -math.inf for m, v in zip(mx, norms)]
-
-
-def _resolved(f, k, M, lam_rule, x_rule):
-    """k and M checked, then the output's x rule and the spectrum of f."""
-    kk, mm = kval(k), matval(M)
-    xr = _resolve_x_rule(f, x_rule)
-    return kk, mm, xr, spectrum_of(f, kk, mm, lam_rule, x_rule=xr)
 
 
 def _power(f, k, M, n, multiplier, lam_rule, x_rule) -> SampledFunction:
@@ -248,14 +237,18 @@ def _power(f, k, M, n, multiplier, lam_rule, x_rule) -> SampledFunction:
     return SampledFunction(xr, out, label=getattr(f, "label", ""))
 
 
-def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier):
-    """Spectrum g of f and the norms of inverse(m^n g), n <= n_max, with (log|m|, m/|m|) = multiplier(lam/b)."""
-    mm = matval(M)
-    if isinstance(f, SampledFunction) and x_rule is None:
-        x_rule = f.rule
-    g = spectrum_of(f, kval(k), mm, lam_rule, x_rule=x_rule)
+def _sequence(f, k, M, p, n_max, lam_rule, x_rule, multiplier, n_min=1):
+    """Spectrum g of f and the norms of inverse(m^n g), n <= n_max, with (log|m|, m/|m|) = multiplier(lam/b).
+
+    p and n_max in [n_min, MAX_N_SPECTRAL] are checked before anything is transformed.
+    """
+    if not n_min <= _integer(n_max, "n_max") <= MAX_N_SPECTRAL:
+        raise ParameterError(f"n_max must be >= {n_min} and <= {MAX_N_SPECTRAL}, got {n_max!r}")
+    if not p >= 1:
+        raise ParameterError(f"p must satisfy p >= 1 or p = inf, got {p}")
+    _, mm, xr, g = _resolved(f, k, M, lam_rule, x_rule, need_x=p != 2.0)
     log_mult, phase = multiplier(g.rule.nodes / mm.b)
-    return g, NormSequence.from_lognorms(p, "spectral", _multiplier_lognorms(g, log_mult, phase, p, n_max, x_rule))
+    return g, NormSequence.from_lognorms(p, "spectral", _multiplier_lognorms(g, log_mult, phase, p, n_max, xr))
 
 
 def apply_power_spectral(f, k, M, n: int, lam_rule=None, x_rule=None) -> SampledFunction:
@@ -319,26 +312,23 @@ def heat_semigroup(f, k, M, n: int, mode: str = "multiplier", lam_rule=None, x_r
 def norm_sequence(f, k, M, p: float, n_max: int, path: str = "spectral",
                   lam_rule=None, x_rule=None) -> NormSequence:
     """L^p norms of operator powers of f, accumulated in log space."""
-    kk, mm = kval(k), matval(M)
     if path == "spectral":
-        xr = None if (isinstance(f, Spectrum) and p == 2.0) else _resolve_x_rule(f, x_rule)
-        g, seq = _sequence(f, kk, mm, p, n_max, lam_rule, xr, _mult_i)
+        g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_i)
         if p != 2.0:
-            _warn_if_edge_heavy(g, _mult_i(g.rule.nodes / mm.b)[0], range(n_max + 1))
+            _warn_if_edge_heavy(g, _mult_i(g.rule.nodes / g.M.b)[0], range(n_max + 1))
         return seq
     if path == "symbolic":
         if not 0 <= _integer(n_max, "n_max") <= MAX_N_SYMBOLIC:
             raise ParameterError(f"symbolic path supports n_max in [0, {MAX_N_SYMBOLIC}], got {n_max!r}")
-        if not isinstance(f, SymExpr):
-            raise ParameterError("the symbolic path needs a symbolic input")
-        xr = _resolve_x_rule(f, x_rule)
-        minv = mm.inverse()
+        if not isinstance(f, SymExpr) or x_rule is None:
+            raise ParameterError("the symbolic path needs a symbolic input and an x_rule")
+        kk, minv = kval(k), matval(M).inverse()
         lognorms = []
         e = f
         for n in range(n_max + 1):
             if n:
                 e = apply_lcd(kk, minv, e)
-            nrm = lp_norm(SampledFunction(xr, evaluate(e, xr.nodes)), p)
+            nrm = lp_norm(SampledFunction(x_rule, evaluate(e, x_rule.nodes)), p)
             lognorms.append(math.log(nrm) if nrm > 0 else -math.inf)
         return NormSequence.from_lognorms(p, "symbolic", lognorms)
     raise ParameterError(f"unknown path {path!r}")

@@ -2,8 +2,9 @@
 
 Each estimator turns a norm sequence into a support statistic. The
 sequence comes from `operators._sequence` with one of the multipliers
-defined in `operators`; each extrapolation below is one least-squares
-fit (`_tail_fit`) over a tail window of the sequence.
+defined in `operators`. That setup refuses a bad p, and an n_max below
+MIN_N_FIT, before any transform. Each extrapolation below is one
+least-squares fit (`_tail_fit`) over a tail window of the sequence.
 
 * sigma (support radius): the 1/n-th roots of operator-power norms
   converge to sup |lam/b| over the spectral support. The root method
@@ -84,10 +85,7 @@ def _tail_fit(ns, vals, window, basis):
     lo = max(first, len(ns) - max(fewest, num * len(ns) // den))
     n = ns[lo:].astype(float)
     v = vals[lo:]
-    cols = basis(n)
-    if len(v) < len(cols):
-        raise ParameterError(f"{len(v)} points cannot fit {len(cols)} columns; n_max must be >= {MIN_N_FIT}")
-    A = np.stack(cols, axis=1)
+    A = np.stack(basis(n), axis=1)
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
     resid = v - A @ coef
     return coef, float(np.sqrt(np.mean(resid**2)))
@@ -137,7 +135,7 @@ def estimate_sigma(f, k, M, p: float = 2.0, n_max: int = 30, method: str = "rati
     """Support radius via the Paley-Wiener limit of operator-power norms."""
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
-    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_i)
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_i, n_min=MIN_N_FIT)
     if seq.is_zero():
         return _zero_input(n_max, seq, sigma_hat=0.0, method=method, p=p)
     ns = seq.n[1:]
@@ -179,7 +177,7 @@ def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40
                      lam_rule=None, x_rule=None) -> Estimate:
     """Is the spectrum inside {lam : |P(lam/b)| <= 1}? Score -> sup |P(lam/b)|."""
     P.require_nonconstant()
-    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_poly(P))
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_poly(P), n_min=MIN_N_FIT)
     if seq.is_zero():
         return _zero_input(n_max, seq, inside=True, score=0.0)
     score, rms, last, converged = _ratio_limit(seq)
@@ -190,7 +188,7 @@ def poly_domain_test(f, k, M, P: RealPolynomial, p: float = 2.0, n_max: int = 40
 def compact_spectrum_test(f, k, M, p: float = 2.0, n_max: int = 40,
                           lam_rule=None, x_rule=None) -> Estimate:
     """Laplacian-iterate roots: finite limit means compact spectrum (= sigma^2)."""
-    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_laplacian)
+    g, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_laplacian, n_min=MIN_N_FIT)
     if seq.is_zero():
         return _zero_input(n_max, seq, compact=True, sigma2_hat=0.0)
     slope = float(_tail_fit(seq.n[1:], seq.root[1:], _ROOT_WINDOW, lambda n: [np.ones_like(n), n])[0][1])
@@ -208,7 +206,7 @@ def _gap(f, k, M, p, n_max, lam_rule, x_rule) -> Estimate:
 
     The fit carries the Laplace-type corrections [1, n^(-1/2), log(n)/n, 1/n].
     """
-    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_heat)
+    _, seq = _sequence(f, k, M, p, n_max, lam_rule, x_rule, _mult_heat, n_min=MIN_N_FIT)
     if seq.is_zero():
         return _zero_input(n_max, seq, delta_hat=math.inf)
     ns = seq.n[1:]

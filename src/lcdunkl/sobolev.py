@@ -3,8 +3,11 @@
 The W^s norm weighs the transform by (1+lam^2)^(s/2); its operator-sum
 counterpart adds squared norms of operator powers. Both are equivalent
 rather than equal: the toolkit reports measured ratios instead of
-pretending the constants away. The operator-sum norm reads its terms off
-the p = 2 norm sequence of `operators._sequence`.
+pretending the constants away. Both read their L^2 norms off the p = 2
+norm sequence of `operators._sequence`, the one setup and the one L^2
+spectral sum: the W^s norm is its n = 1 entry under the multiplier
+(1+lam^2)^(s/2), the operator-sum norm adds its entries n <= m under the
+inverse-matrix operator's.
 
 Spectral differentiation reads its plain Dunkl values off
 `transform.lcdt_forward` at (0, b; -1/b, 0), whose chirps are 1, and
@@ -19,8 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
-from .operators import _mult_i, _sequence, spectrum_of
+from .errors import ComputationError, ParameterError
+from .operators import LOG_FLOAT_MAX, _mult_i, _mult_sobolev, _sequence
 from .quadrature import QuadratureRule, SampledFunction
 from .specfun import CanonicalMatrix, _integer, dunkl_kernel_dx, kval, matval, principal_power
 from .transform import lcdt_forward
@@ -36,13 +39,13 @@ MAX_SPECTRAL_DERIVATIVE = 4
 
 
 def sobolev_norm(f, k, M, s: float, lam_rule=None, x_rule=None) -> float:
-    """W^s norm: L^2 norm of (1+lam^2)^(s/2) times the transform."""
-    kk = kval(k)
-    mm = matval(M)
-    g = spectrum_of(f, kk, mm, lam_rule, x_rule=x_rule)
-    lam = g.rule.nodes
-    weight = (1.0 + lam * lam) ** s
-    return float(math.sqrt(np.sum(g.rule.weights * weight * np.abs(g.values) ** 2)))
+    """W^s norm: L^2 norm of (1+lam^2)^(s/2) times the transform; s must be finite."""
+    if not math.isfinite(s):
+        raise ParameterError(f"Sobolev order s must be finite, got {s!r}")
+    _, seq = _sequence(f, k, M, 2.0, 1, lam_rule, x_rule, _mult_sobolev(s, matval(M).b))
+    if seq.lognorm[1] > LOG_FLOAT_MAX:
+        raise ComputationError(f"W^{s} norm passes the double range (log norm {seq.lognorm[1]:.6g})")
+    return math.exp(seq.lognorm[1])
 
 
 def sobolev_opsum_norm(f, k, M, m: int, lam_rule=None, x_rule=None) -> float:

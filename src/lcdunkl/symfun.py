@@ -47,6 +47,9 @@ TAYLOR_SWITCH = 0.05
 TAYLOR_EXTRA = 10
 MAX_ITERATE = 60
 TERM_BUDGET = 500_000
+# terms x sample points one evaluation may take: evaluation costs about 30 ns
+# per term-point (5e4 terms on a 640-node rule in 0.9 s), so about one second
+EVAL_BUDGET = 32_000_000
 VANISH_RTOL = 1e-9  # a quotpow child's Taylor coefficients below j, relative to the largest
 
 
@@ -153,6 +156,9 @@ class SymExpr:
         self._taylor = None
 
     def _numerator_at(self, x):
+        if len(self.terms) * x.size > EVAL_BUDGET:
+            raise ResourceBudgetError(
+                f"{len(self.terms)} terms at {x.size} points pass the budget of {EVAL_BUDGET} term-points")
         out = np.zeros(x.shape, dtype=np.complex128)
         bessel_cache: dict = {}
         for t in self.terms:

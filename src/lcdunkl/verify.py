@@ -282,10 +282,10 @@ def checks_operators():
     worst = 0.0
     for k in (0.0, 0.5):
         prof = _gauss(k)
-        for M in SWEEP_M[1:]:
-            spec = norm_sequence(gaussian(-1.0, m=2), k, M, 2.0, 12, path="spectral",
+        for M, p in itertools.product(SWEEP_M[1:], (1.0, 2.0, 3.0, math.inf)):
+            spec = norm_sequence(gaussian(-1.0, m=2), k, M, p, 12, path="spectral",
                                  lam_rule=prof.lam_rule, x_rule=prof.x_rule)
-            sym = norm_sequence(gaussian(-1.0, m=2), k, M, 2.0, 12, path="symbolic", x_rule=prof.x_rule)
+            sym = norm_sequence(gaussian(-1.0, m=2), k, M, p, 12, path="symbolic", x_rule=prof.x_rule)
             for n in range(13):
                 worst = max(worst, abs(math.exp(spec.lognorm[n] - sym.lognorm[n]) - 1.0))
     out.append(_check("dual_path_operator_norms", "operators", worst, 1e-5))

@@ -173,6 +173,19 @@ def test_transform_refuses_an_oversized_product_before_forming_it(tmp_path, caps
     assert captured.err == ""
 
 
+def test_transform_refuses_an_expression_past_the_evaluation_budget(tmp_path, capsys):
+    # 6 * 10^4 distinct terms on the default 640-node x rule pass EVAL_BUDGET: refused before any value
+    factors = [{"type": "sum_of_terms", "terms": [
+        {"coeff": [1.0, 0.0], "m": 0, "alpha": [-0.5, 0.0], "beta": [i * 10.0 ** (f - 6), 0.0]}
+        for i in range(6 if f == 4 else 10)]} for f in range(5)]
+    cfg = write_cfg(tmp_path, {"function": {"type": "symexpr", "expr": {"type": "product", "children": factors}}})
+    code = main(["transform", "--config", cfg, "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert code == 2 and err["field"] == "function.expr" and "term-points" in err["message"]
+    assert captured.err == ""
+
+
 OVERFLOWING_TERMS = {
     "x^400": [{"coeff": [1.0, 0.0], "m": 400, "alpha": [-0.5, 0.0]}],
     "beta 300": [{"coeff": [1.0, 0.0], "alpha": [-0.5, 0.0], "beta": [300.0, 0.0]}],

@@ -17,6 +17,7 @@ from lcdunkl.paleywiener import (
     vanishing_interval_detect,
 )
 from lcdunkl.quadrature import SampledFunction
+from lcdunkl.sobolev import sobolev_opsum_norm
 from lcdunkl.specfun import CanonicalMatrix
 from lcdunkl.symfun import gaussian
 from lcdunkl.transform import Spectrum
@@ -288,15 +289,36 @@ def test_headline_values_read_as_attributes(pipe12):
 
 
 def test_p_checked_before_the_contraction(pipe12, monkeypatch):
-    prof, _, spec = pipe12
+    # on physical input too, p and n_max are refused before the forward transform
+    prof, f, spec = pipe12
 
     def refuse(*args):
-        raise AssertionError("contraction ran before p was checked")
+        raise AssertionError("contraction ran before p and n_max were checked")
 
     monkeypatch.setattr(transform, "_lcdt_folded", refuse)
     for p in (0.5, math.nan):
         with pytest.raises(ParameterError, match="p must"):
             compact_spectrum_test(spec, K, M_SHEAR, p=p, n_max=40, x_rule=prof.x_rule)
+    P, lam = RealPolynomial((0.0, 0.0, 0.25)), prof.lam_rule
+    estimators = [
+        lambda **kw: estimate_sigma(f, K, M_SHEAR, lam_rule=lam, **kw),
+        lambda **kw: poly_domain_test(f, K, M_SHEAR, P, lam_rule=lam, **kw),
+        lambda **kw: compact_spectrum_test(f, K, M_SHEAR, lam_rule=lam, **kw),
+        lambda **kw: estimate_delta(f, K, M_SHEAR, lam_rule=lam, **kw),
+        lambda **kw: vanishing_interval_detect(f, K, M_SHEAR, lam_rule=lam, **kw),
+    ]
+    bad = [({"p": 0.5}, "p must"), ({"p": math.nan}, "p must"), ({"n_max": 61}, "n_max must be >= 4 and <= 60"),
+           ({"n_max": 3}, "n_max must be >= 4 and <= 60")]
+    for call in estimators:
+        for kw, match in bad:
+            with pytest.raises(ParameterError, match=match):
+                call(**kw)
+    for p, n_max, match in ((0.5, 10, "p must"), (math.nan, 10, "p must"), (2.0, 0, "n_max"), (1.0, 61, "n_max")):
+        with pytest.raises(ParameterError, match=match):
+            norm_sequence(f, K, M_SHEAR, p, n_max, lam_rule=lam)
+    for m in (-1, 7):
+        with pytest.raises(ParameterError, match="operator-sum order"):
+            sobolev_opsum_norm(f, K, M_SHEAR, m, lam_rule=lam)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])

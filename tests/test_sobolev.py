@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lcdunkl.corpus import gauss_profile, symbolic_members
-from lcdunkl.errors import AccuracyWarning, ParameterError
+from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
 from lcdunkl.quadrature import SampledFunction, lp_norm
 from lcdunkl.sobolev import (
     derivative_via_spectrum,
@@ -47,6 +48,20 @@ def test_sobolev_nesting(prof):
             for s in (0.0, 1.0, 2.0)
         ]
         assert vals[0] <= vals[1] <= vals[2]
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_sobolev_norm_refuses_a_nonfinite_order(prof, s):
+    with pytest.raises(ParameterError, match="s must be finite"):
+        sobolev_norm(gaussian(-0.5), K, M_SHEAR, s, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+
+
+def test_sobolev_norm_beyond_the_double_range_raises():
+    prof = gauss_profile(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ComputationError, match="double range"):
+            sobolev_norm(gaussian(-0.5), 0.5, M_SHEAR, 400.0, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
 
 
 def test_opsum_order_zero(prof):
