@@ -53,7 +53,10 @@ def sobolev_opsum_norm(f, k, M, m: int, lam_rule=None, x_rule=None) -> float:
     if not 0 <= _integer(m, "operator-sum order") <= MAX_OPSUM_ORDER:
         raise ParameterError(f"operator-sum order must lie in [0, {MAX_OPSUM_ORDER}]")
     _, seq = _sequence(f, k, M, 2.0, max(m, 1), lam_rule, x_rule, _mult_i)
-    return math.sqrt(float(np.sum(np.exp(2.0 * seq.lognorm[: m + 1]))))
+    log_norm = 0.5 * float(np.logaddexp.reduce(2.0 * seq.lognorm[: m + 1]))  # the squares summed in log space
+    if log_norm > LOG_FLOAT_MAX:
+        raise ComputationError(f"operator-sum norm passes the double range (log norm {log_norm:.6g})")
+    return math.exp(log_norm)
 
 
 def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x_rule=None):

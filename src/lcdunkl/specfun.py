@@ -1,20 +1,23 @@
 """Normalized spherical Bessel function, Dunkl kernel, and LCDT kernel.
 
-The workhorse is ``bessel_j_grid``: j_nu(u) = Gamma(nu+1) (2/u)^nu J_nu(u)
-over arrays. A Kahan-summed power series covers |u| <= 7.5 or
-u^2 <= 16(nu+1), where its terms stay moderate; beyond, the classical
-J_nu comes from scipy.special (AMOS, Amos, "Algorithm 644", ACM TOMS 12,
-1986), through spherical_jn at half-integer orders; scipy is imported by
-the first call that reaches that branch. j_{-1/2} is cos.
+j_nu(u) = Gamma(nu+1) (2/u)^nu J_nu(u) has two evaluators. Both sum a
+Kahan-summed power series where |u| <= 7.5 or u^2 <= 16(nu+1), where its
+terms stay moderate; they differ beyond it. j_{-1/2} is cos in both.
+
+``bessel_j_grid``, the pointwise evaluator, takes J_nu from scipy.special
+(AMOS, Amos, "Algorithm 644", ACM TOMS 12, 1986), through spherical_jn at
+half-integer orders; scipy is imported by the first call that reaches
+that branch. It serves ``bessel_j_norm``, symbolic Bessel factors and
+``dunkl_kernel_dx``, whose n = 0 terms are the one kernel formula that
+``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
 
 The transform's kernel tables are piecewise Chebyshev interpolants: at
-every order but -1/2, ``_panel_fit`` runs ``bessel_j_grid`` only at
-Chebyshev points on panels of width at most 1/2, from a table's max|u|
-alone, and ``_clenshaw`` sums each panel's series over the table, in
-place and point by point, in chunks of _CHUNK points, so a table can be
-filled block by block. cos (nu = -1/2) stays on ``bessel_j_grid``, as do
-``bessel_j_norm`` and ``dunkl_kernel_dx``, whose n = 0 terms are the one
-kernel formula that ``dunkl_kernel`` and ``lcdt_kernel`` evaluate.
+every order but -1/2, ``_panel_fit`` evaluates j_nu only at Chebyshev
+points on panels of width at most 1/2, from a table's max|u| alone, with
+J_nu from ``_jv``, a numpy evaluator (Hankel's expansion and Miller's
+recurrence), so no table build imports scipy; ``_clenshaw`` sums each
+panel's series over the table, in place and point by point, in chunks of
+_CHUNK points, so a table can be filled block by block.
 ``regularized_gamma`` (quadrature calibration, tail bounds) needs no scipy.
 """
 
@@ -163,6 +166,29 @@ def _series(nu: float, u: np.ndarray) -> np.ndarray:
     return s
 
 
+def _j_values(nu: float, ua: np.ndarray, beyond) -> np.ndarray:
+    """j_nu, nu > -1/2, at the magnitudes ua (finite, at most U_MAX).
+
+    The power series where |u| <= SERIES_CUT or u^2 <= 16(nu+1), else
+    beyond(t, scale) with scale = Gamma(nu+1) (2/t)^nu; a scale past the
+    double range (large nu) raises RangeError.
+    """
+    out = np.empty_like(ua)
+    series = (ua <= SERIES_CUT) | (ua * ua <= 16.0 * (nu + 1.0))
+    if series.any():
+        out[series] = _series(nu, ua[series])
+    rest = ~series
+    if rest.any():
+        t = ua[rest]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Gamma(nu+1) (2/t)^nu as one exp: each factor alone overflows at large nu
+            scale = np.exp(math.lgamma(nu + 1.0) + nu * np.log(2.0 / t))
+        if not np.all(np.isfinite(scale)):
+            raise RangeError(f"order nu = {nu} too large for |x| = {float(t.max())}: j_nu leaves double range")
+        out[rest] = beyond(t, scale)
+    return out
+
+
 def bessel_j_grid(nu: float, u) -> np.ndarray:
     """j_nu at every element of u (even in u; j_nu(0) = 1)."""
     nu = float(nu)
@@ -174,26 +200,93 @@ def bessel_j_grid(nu: float, u) -> np.ndarray:
     umax = float(ua.max()) if ua.size else 0.0
     if umax > U_MAX:
         raise RangeError(f"|x| = {umax} beyond supported range {U_MAX}")
-    out = np.empty_like(ua)
     if nu == -0.5:
-        return np.cos(ua, out=out)
-    series = (ua <= SERIES_CUT) | (ua * ua <= 16.0 * (nu + 1.0))
-    if series.any():
-        out[series] = _series(nu, ua[series])
-    rest = ~series
-    if rest.any():
+        return np.cos(ua, out=np.empty_like(ua))
+
+    def amos(t, scale):
         from scipy.special import jv, spherical_jn
-        t = ua[rest]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Gamma(nu+1) (2/t)^nu as one exp: each factor alone overflows at large nu
-            scale = np.exp(math.lgamma(nu + 1.0) + nu * np.log(2.0 / t))
-            if (nu - 0.5).is_integer():
-                vals = scale * np.sqrt(2.0 * t / math.pi) * spherical_jn(int(nu - 0.5), t)
-            else:
-                vals = scale * jv(nu, t)
-        if not np.all(np.isfinite(vals)):
-            raise RangeError(f"order nu = {nu} too large for |x| = {umax}: j_nu leaves double range")
-        out[rest] = vals
+        if (nu - 0.5).is_integer():
+            return scale * np.sqrt(2.0 * t / math.pi) * spherical_jn(int(nu - 0.5), t)
+        return scale * jv(nu, t)
+
+    return _j_values(nu, ua, amos)
+
+
+# The panel fits' J_nu past the series, in numpy. Hankel's expansion
+# (DLMF 10.17.3) at mu = nu - round(nu) and mu + 1 where t >= _HANKEL_CUT,
+# since there, for |mu| <= 3/2, its terms fall below 1e-17 before they
+# grow, and the first omitted term bounds the remainder (DLMF 10.17(iii));
+# then forward recurrence in the order, stable while nu < t. Elsewhere
+# Miller's backward recurrence, normalized by Neumann's sum
+# (t/2)^mu = sum_k (mu + 2k) Gamma(mu + k) / k! J_{mu+2k}(t) (Gautschi,
+# "Computational aspects of three-term recurrence relations", SIAM Rev. 9,
+# 1967), started where J_top(t) is below 1e-17 relative to its maximum.
+_HANKEL_CUT = 20.0
+
+
+def _hankel(mu: float, t: np.ndarray):
+    """(J_mu(t), J_{mu+1}(t)) on t >= _HANKEL_CUT."""
+    phi = (0.5 * mu + 0.25) * math.pi
+    c, s = np.cos(t), np.sin(t)
+    cw, sw = c * math.cos(phi) + s * math.sin(phi), s * math.cos(phi) - c * math.sin(phi)  # of t - phi
+    z = 8.0 * t
+    out = []
+    for m in (mu, mu + 1.0):
+        # term k is a_k(m) / t^k with the sign of (-1)^floor(k/2): even k sum to P, odd k to Q
+        term, pq = np.ones_like(t), [np.ones_like(t), np.zeros_like(t)]
+        for k in range(1, 64):
+            term = term * ((4.0 * m * m - (2 * k - 1) ** 2) / (k if k % 2 else -k)) / z
+            pq[k % 2] += term
+            if np.max(np.abs(term)) < 1e-17:
+                break
+        out.append(pq)
+    (p0, q0), (p1, q1) = out
+    r = np.sqrt(2.0 / (math.pi * t))
+    return r * (p0 * cw - q0 * sw), r * (p1 * sw + q1 * cw)
+
+
+def _miller(mu: float, m: int, t: np.ndarray) -> np.ndarray:
+    """J_{mu+m}(t) by backward recurrence from one start for all t."""
+    tmax = float(t.max())
+    top = int(max(tmax, m)) + 20 + int(12.0 * tmax ** (1.0 / 3.0))  # past the turning point by 12 Airy scales
+    top += top % 2
+    weights = [math.gamma(mu + 1.0)]  # the Neumann weights, each from the last
+    g = weights[0]
+    for k in range(1, top // 2 + 1):
+        weights.append((mu + 2 * k) * g)
+        g *= (mu + k) / (k + 1)
+    inv = 2.0 / t
+    f0, f1 = np.ones_like(t), np.zeros_like(t)  # f_n and f_{n+1}, n = top
+    total, val = np.zeros_like(t), np.zeros_like(t)
+    for n in range(top, -1, -1):
+        if n == m:
+            val = f0.copy()
+        if n % 2 == 0:
+            total += weights[n // 2] * f0
+        if n:
+            f0, f1 = (mu + n) * inv * f0 - f1, f0
+        if n % 16 == 0:  # keep the growing solution in range, point by point
+            big = np.abs(f0) > 1e200
+            if big.any():
+                for a in (f0, f1, total, val):
+                    a[big] *= 1e-200
+    return val / total * (0.5 * t) ** mu
+
+
+def _jv(nu: float, t: np.ndarray) -> np.ndarray:
+    """J_nu(t) for nu >= -1/2 and t past the series; the fits' evaluator, tested on nu <= 151."""
+    m = round(nu)
+    mu = nu - m
+    out = np.empty_like(t)
+    hankel = (t >= _HANKEL_CUT) & (t > nu)
+    if hankel.any():
+        th = t[hankel]
+        a, b = _hankel(mu, th)
+        for n in range(1, m):
+            a, b = b, (2.0 * (mu + n) / th) * b - a
+        out[hankel] = b if m else a
+    if not hankel.all():
+        out[~hankel] = _miller(mu, m, t[~hankel])
     return out
 
 
@@ -214,11 +307,11 @@ _TO_COEFFS[0] *= 0.5
 def _panel_fit(nu: float, umax: float):
     """(c, span): j_nu on [0, span] as (degree, panel) Chebyshev coefficients c, span = umax (PANEL_WIDTH at 0).
 
-    The ceil(span / PANEL_WIDTH) equal panels each cost bessel_j_grid at
-    PANEL_NODES points. An umax beyond U_MAX raises bessel_j_grid's
-    RangeError here, as no node lies past umax. None at nu = -1/2, where
-    the table is bessel_j_grid's cos (exact; the sum loses ~1e-13 to
-    argument reduction near |u| = 2000).
+    The ceil(span / PANEL_WIDTH) equal panels each take j_nu at PANEL_NODES
+    points, from the series and _jv, with bessel_j_grid's RangeErrors: an
+    umax beyond U_MAX, and an order whose j_nu leaves double range. None
+    at nu = -1/2, where the table is bessel_j_grid's cos (exact; the sum
+    loses ~1e-13 to argument reduction near |u| = 2000).
     """
     if not umax <= U_MAX:
         raise RangeError(f"|x| = {umax} beyond supported range {U_MAX}")
@@ -227,7 +320,8 @@ def _panel_fit(nu: float, umax: float):
     span = umax or PANEL_WIDTH
     n = math.ceil(span / PANEL_WIDTH)
     nodes = (np.arange(n)[:, None] + 0.5 * (1.0 + np.cos(_THETA))) * (span / n)
-    return _TO_COEFFS @ bessel_j_grid(nu, nodes).T, span  # one row per degree, so each is one 1-D gather
+    vals = _j_values(nu, nodes, lambda t, scale: scale * _jv(nu, t))
+    return _TO_COEFFS @ vals.T, span  # one row per degree, so each is one 1-D gather
 
 
 def _clenshaw(series, u: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -90,7 +90,8 @@ def checks_specfun():
     out.append(_check("bessel_parity", "specfun", worst, 1e-12))
 
     # the interpolated pair lcdt_forward caches for the Gaussian profiles at
-    # |b| = 1, j_k(t) and t j_{k+1}(t) / (2(k+1)), against the direct evaluator
+    # |b| = 1, j_k(t) and t j_{k+1}(t) / (2(k+1)), fitted from the numpy J_nu,
+    # against the pointwise evaluator (scipy's J_nu past the series)
     worst = 0.0
     for k in (0.0, 0.5, 2.0):
         prof = _gauss(k)

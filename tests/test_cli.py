@@ -12,6 +12,7 @@ import pytest
 import lcdunkl
 from lcdunkl import cli, transform
 from lcdunkl.cli import main
+from lcdunkl.corpus import bump_profile
 from lcdunkl.errors import AccuracyWarning
 
 
@@ -265,14 +266,21 @@ def test_report_writes_nonfinite_values_as_strings(tmp_path):
     assert report["compact"] and report["sigma2_hat"] == pytest.approx(4.0, rel=0.02)
 
 
-def test_estimate_sigma_at_p_1000(tmp_path):
+def test_estimate_sigma_at_p_1000(tmp_path, monkeypatch):
     # the p != 2 fold runs by row blocks with a running per-column scale; the
-    # default config's sigma at p = 1000 reads as the whole-column scaling did
-    out = tmp_path / "run"
+    # default config's sigma at p = 1000 reads as the whole-column scaling
+    # does, with every output class in one block
+    assert bump_profile(0.5, ((1.0, 2.0),)).x_rule.fold[0].size > transform._FOLD_ROWS
     cfg = write_cfg(tmp_path, {"estimator": {"p": 1000.0}})
-    assert main(["estimate", "--which", "sigma", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["converged"] and report["sigma_hat"] == pytest.approx(2.0365205306237875, rel=1e-12)
+    reports = []
+    for rows in (transform._FOLD_ROWS, 1 << 30):
+        monkeypatch.setattr(transform, "_FOLD_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert main(["estimate", "--which", "sigma", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    blocked, whole = reports
+    assert blocked["converged"] and whole["converged"]
+    assert blocked["sigma_hat"] == pytest.approx(whole["sigma_hat"], rel=1e-12)
 
 
 def test_estimate_sigma_bump(tmp_path):
@@ -395,21 +403,31 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_spectral_estimates_run_without_scipy(tmp_path):
-    # the p = 2 estimators on a bump read its closed-form spectrum: no kernel table, no scipy
-    cfg = write_cfg(tmp_path, {"k": 2.02, "matrix": {"a": 1.0, "b": 0.936, "c": 0.0, "d": 1.0},
-                               "function": {"type": "bump", "intervals": [[0.95, 1.87]]}})
-    code = ("import sys; sys.modules['scipy'] = None\n"
+    # the p = 2 estimators on a bump read its closed-form spectrum, with no
+    # kernel table; transform, sigma and p != 2 build one, and its panel fits
+    # run on numpy alone: none of them imports scipy
+    bump = {"k": 2.02, "matrix": {"a": 1.0, "b": 0.936, "c": 0.0, "d": 1.0},
+            "function": {"type": "bump", "intervals": [[0.95, 1.87]]}}
+    cfgs = {}
+    for name, extra in (("p2", {}), ("pinf", {"estimator": {"p": "inf"}})):
+        cfgs[name] = tmp_path / f"{name}.json"
+        cfgs[name].write_text(json.dumps({**bump, **extra}))
+    runs = [["transform", "--config", str(cfgs["p2"])], ["estimate", "--which", "sigma", "--config", str(cfgs["p2"])],
+            ["estimate", "--which", "compact", "--config", str(cfgs["pinf"])]]
+    runs += [["estimate", "--which", w, "--config", str(cfgs["p2"])] for w in SPECTRAL_WHICH]
+    code = ("import json, sys; sys.modules['scipy'] = None\n"
             "from lcdunkl.cli import main\n"
-            "cfg, out = sys.argv[1:]\n"
-            "sys.exit(max(main(['estimate', '--which', w, '--config', cfg, '--out', out + '/' + w])"
-            f" for w in {SPECTRAL_WHICH!r}))")
-    res = _run_child(code, cfg, str(tmp_path / "blocked"))
+            "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "sys.exit(max(main([*run, '--out', f'{out}/{i}']) for i, run in enumerate(runs)))")
+    res = _run_child(code, json.dumps(runs), str(tmp_path / "blocked"))
     assert res.returncode == 0, res.stdout + res.stderr
-    for which in SPECTRAL_WHICH:
-        out = tmp_path / "free" / which
-        assert main(["estimate", "--which", which, "--config", cfg, "--out", str(out)]) == 0
-        for name in ("report.json", "sequence.csv"):
-            assert (tmp_path / "blocked" / which / name).read_bytes() == (out / name).read_bytes()
+    for i, run in enumerate(runs):
+        blocked, free = tmp_path / "blocked" / str(i), tmp_path / "free" / str(i)
+        assert main([*run, "--out", str(free)]) == 0
+        names = sorted(path.name for path in free.iterdir())
+        assert names == sorted(path.name for path in blocked.iterdir()) and len(names) == 2
+        for name in names:
+            assert (blocked / name).read_bytes() == (free / name).read_bytes(), (run, name)
 
 
 class TableBuilt(Exception):

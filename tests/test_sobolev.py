@@ -64,6 +64,17 @@ def test_sobolev_norm_beyond_the_double_range_raises():
             sobolev_norm(gaussian(-0.5), 0.5, M_SHEAR, 400.0, lam_rule=prof.lam_rule, x_rule=prof.x_rule)
 
 
+def test_opsum_sums_its_squares_in_log_space():
+    # squared operator-power norms near 1e400 would overflow: the sum stays finite, with no warning
+    prof = gauss_profile(0.5)
+    f, rules = gaussian(-0.5, coeff=1e200), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sobolev_opsum_norm(f, 0.5, M_SHEAR, 2, **rules)
+    unit = sobolev_opsum_norm(gaussian(-0.5), 0.5, M_SHEAR, 2, **rules)
+    assert math.isfinite(got) and got == pytest.approx(1e200 * unit, rel=1e-12)
+
+
 def test_opsum_order_zero(prof):
     f = gaussian(-0.5)
     got = sobolev_opsum_norm(f, K, M_SHEAR, 0, lam_rule=prof.lam_rule, x_rule=prof.x_rule)

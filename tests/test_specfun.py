@@ -123,6 +123,27 @@ def test_bessel_large_argument_and_order(nu):
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def fit_seams(nu):
+    # just past the series, around the Hankel/Miller switch (_HANKEL_CUT, or t = nu above it), and at U_MAX
+    cut = max(specfun.SERIES_CUT, 4.0 * math.sqrt(nu + 1.0))
+    h = specfun._HANKEL_CUT
+    t = [cut * (1.0 + 1e-12), cut + 0.01, h * (1.0 - 1e-12), h, h * (1.0 + 1e-12),
+         nu * (1.0 - 1e-12), nu, nu * (1.0 + 1e-12), nu + 0.5, 1234.567, U_MAX]
+    return np.unique([x for x in t if cut < x <= U_MAX])
+
+
+@pytest.mark.parametrize("nu", [-0.49, 0.0, 0.5, 1.6, 2.1, 2.6, 30.3, 60.5, 150.5, 151.0])
+def test_fit_evaluator_at_its_seams(nu):
+    # the panel fits' numpy J_nu, scaled to j_nu as _panel_fit scales it: within
+    # the accuracy contract of mpmath, and within 1e-13 of the pointwise evaluator
+    t = fit_seams(nu)
+    vals = specfun._j_values(nu, t, lambda t, scale: scale * specfun._jv(nu, t))
+    refs = np.array([besselj_ref(nu, x) for x in t])
+    size = np.maximum(1.0, np.abs(refs))
+    assert np.all(np.abs(vals - refs) <= 1e-12 * size)
+    assert np.all(np.abs(vals - bessel_j_grid(nu, t)) <= 1e-13 * size)
+
+
 def test_bessel_parity():
     xs = np.linspace(0.1, 40.0, 57)
     for nu in [0.0, 0.7, 2.0]:

@@ -417,17 +417,23 @@ def test_bump_round_trip_at_large_order():
 
 
 def test_table_build_evaluates_only_panel_nodes(monkeypatch):
-    # a cold table pair of the bump grid runs the exact evaluator at the
-    # interpolation nodes only, not at its 411,840 entries per order, at jv
-    # orders (k = 1.8) and at half-integer ones (k = 0.5) alike
+    # a cold table pair of the bump grid runs the fits' J_nu at the
+    # interpolation nodes past the series only, not at its 411,840 entries
+    # per order, and never the pointwise evaluator, at non-integer orders
+    # (k = 1.8) and at half-integer ones (k = 0.5) alike
     calls = []
-    bessel_j_grid = specfun.bessel_j_grid
+    jv = specfun._jv
 
-    def counted(nu, u):
-        calls.append((nu, np.size(u)))
-        return bessel_j_grid(nu, u)
+    def counted(nu, t):
+        calls.append((nu, np.size(t)))
+        return jv(nu, t)
 
-    monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+    def refused(nu, u):
+        raise AssertionError("bessel_j_grid called by a table build")
+
+    monkeypatch.setattr(specfun, "_jv", counted)
+    monkeypatch.setattr(specfun, "bessel_j_grid", refused)
+    monkeypatch.setattr(transform, "bessel_j_grid", refused)
     for k in (1.8, 0.5):
         prof = bump_profile(k, ((1.0, 2.0),))
         fa = np.unique(np.abs(prof.lam_rule.nodes))
@@ -438,7 +444,7 @@ def test_table_build_evaluates_only_panel_nodes(monkeypatch):
         transform._bessel_tables(k, fa, xa, 1.0)
         panels = math.ceil(fa[-1] * xa[-1] / specfun.PANEL_WIDTH)
         assert [nu for nu, _ in calls] == [k, k + 1.0]
-        assert all(points <= panels * specfun.PANEL_NODES for _, points in calls)
+        assert all(0 < points <= panels * specfun.PANEL_NODES for _, points in calls)
         assert all(points <= 411840 // 10 for _, points in calls)
 
 
@@ -449,7 +455,6 @@ def test_cold_table_build_memory(monkeypatch):
     assert (len(prof.x_rule), len(prof.lam_rule)) == (3120, 528)
     fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     monkeypatch.setattr(transform, "_tables", {})
-    import scipy.special  # noqa: F401  (scipy's import is not the build's, whichever test runs first)
     tracemalloc.start()
     try:
         even, odd = transform._bessel_tables(0.5, fa, xa, 1.0)
@@ -464,8 +469,6 @@ def _cold_bump_build_bytes_per_entry(monkeypatch):
     prof = bump_profile(1.8, ((0.9, 1.8),), b=0.9)
     fa, xa = prof.lam_rule.fold[0], prof.x_rule.fold[0]
     monkeypatch.setattr(transform, "_tables", {})
-    transform._bessel_tables(1.8, fa, xa, 0.9)  # scipy's import is not the build's
-    transform._tables.clear()
     tracemalloc.start()
     try:
         transform._bessel_tables(1.8, fa, xa, 0.9)
