@@ -46,7 +46,6 @@ from .sobolev import (
 )
 from .specfun import (
     CanonicalMatrix,
-    DunklParameter,
     bessel_j_grid,
     bessel_j_norm,
     dunkl_kernel,
@@ -58,7 +57,6 @@ from .symfun import (
     apply_dunkl,
     apply_lcd,
     bessel_factor,
-    differentiate,
     dunkl_kernel_expr,
     evaluate,
     expr_from_json,
@@ -68,7 +66,6 @@ from .symfun import (
     lcdt_kernel_expr,
     monomial,
     odd_quotient,
-    reflect,
 )
 from .transform import (
     Spectrum,

@@ -174,7 +174,7 @@ def build_rule(k, X: float, panels: int, nodes_per_panel: int) -> QuadratureRule
 
     Parameters
     ----------
-    k : float or DunklParameter
+    k : float
         Multiplicity parameter of the measure, k >= -1/2.
     X : float
         Truncation radius, > 0.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ComputationError, ParameterError
 from .operators import LOG_FLOAT_MAX, _mult_i, _mult_sobolev, _sequence
-from .quadrature import QuadratureRule, SampledFunction
+from .quadrature import QuadratureRule
 from .specfun import CanonicalMatrix, _integer, dunkl_kernel_dx, kval, matval, principal_power
 from .transform import lcdt_forward
 
@@ -64,8 +64,8 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
 
     Uses f^(n)(x) = |b|^(-(2k+2)) * integral over the frequency rule of
     D_k(f)(lam/b) times the n-th x-derivative of E_k(i lam/b, x); kernel
-    derivatives come from the Bessel order-raising recurrence. Returns a
-    SampledFunction when x_grid is a QuadratureRule, else the value array.
+    derivatives come from the Bessel order-raising recurrence. x_grid is a
+    1-D array of points; returns the complex values there.
     """
     n = _integer(n, "derivative order")
     if n < 0 or n > MAX_SPECTRAL_DERIVATIVE:
@@ -74,11 +74,6 @@ def derivative_via_spectrum(f, k, M, n: int, x_grid, lam_rule: QuadratureRule, x
     mm = matval(M)
     g = lcdt_forward(f, kk, CanonicalMatrix(0.0, mm.b, -1.0 / mm.b, 0.0), lam_rule, x_rule)
     mu = lam_rule.nodes / mm.b
-    out_rule = x_grid if isinstance(x_grid, QuadratureRule) else None
-    xs = out_rule.nodes if out_rule is not None else np.asarray(x_grid, dtype=np.float64)
-    kermat = dunkl_kernel_dx(kk, n, mu[:, None], xs[None, :])
+    kermat = dunkl_kernel_dx(kk, n, mu[:, None], np.asarray(x_grid, dtype=np.float64)[None, :])
     pref = abs(mm.b) ** (-(2.0 * kk + 2.0)) / principal_power(1j * mm.b, -(kk + 1.0))
-    vals = pref * ((lam_rule.weights * g.values) @ kermat)
-    if out_rule is not None:
-        return SampledFunction(out_rule, vals, label=getattr(f, "label", ""))
-    return vals
+    return pref * ((lam_rule.weights * g.values) @ kermat)

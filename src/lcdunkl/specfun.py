@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ParameterError, RangeError
 
 __all__ = [
-    "DunklParameter",
     "CanonicalMatrix",
     "bessel_j_norm",
     "bessel_j_grid",
@@ -46,24 +45,12 @@ DET_TOL = 1e-12
 B_MIN = 1e-9
 
 
-@dataclass(frozen=True)
-class DunklParameter:
-    """Multiplicity parameter of the Dunkl weight |x|^(2k+1)."""
-
-    k: float
-
-    def __post_init__(self):
-        k = float(self.k)
-        if not math.isfinite(k) or k < -0.5:
-            raise ParameterError(f"Dunkl parameter must satisfy k >= -1/2, got {self.k}")
-        object.__setattr__(self, "k", k)
-
-
 def kval(k) -> float:
-    """Accept a DunklParameter or a bare float; return the validated float."""
-    if isinstance(k, DunklParameter):
-        return k.k
-    return DunklParameter(float(k)).k
+    """The multiplicity k of the Dunkl weight |x|^(2k+1) as a float, checked: finite and k >= -1/2."""
+    k = float(k)
+    if not math.isfinite(k) or k < -0.5:
+        raise ParameterError(f"Dunkl parameter must satisfy k >= -1/2, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -94,9 +81,6 @@ class CanonicalMatrix:
     @staticmethod
     def rotation(theta: float) -> "CanonicalMatrix":
         return CanonicalMatrix(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
 
 
 def matval(M) -> CanonicalMatrix:
@@ -353,8 +337,7 @@ def bessel_j_norm(k, x: float) -> float:
     |x| <= 2000 for k in [-1/2, 151] (measured against mpmath); the
     relative error is ~1e-12 wherever |j_k| is not vanishingly small.
     """
-    nu = kval(k) if isinstance(k, DunklParameter) else float(k)
-    return float(bessel_j_grid(nu, np.array([x]))[0])
+    return float(bessel_j_grid(k, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,6 @@ __all__ = [
     "dunkl_kernel_expr",
     "lcdt_kernel_expr",
     "evaluate",
-    "differentiate",
-    "reflect",
-    "mul_x",
     "odd_quotient",
     "apply_dunkl",
     "apply_lcd",
@@ -216,12 +213,14 @@ class SymExpr:
         return SymExpr(SymExpr(out)._raised(1) + [t.scaled(-self.j) for t in self.terms], self.j + 1)
 
     def reflected(self):
+        """e(-x) for this e."""
         return SymExpr([t.reflected(self.j) for t in self.terms], self.j)
 
     def scaled(self, s):
         return SymExpr([t.scaled(s) for t in self.terms], self.j)
 
     def mul_x(self):
+        """x e(x) for this e."""
         if self.j:
             return SymExpr(self.terms, self.j - 1)
         return SymExpr(self._raised(1))
@@ -311,18 +310,6 @@ def evaluate(e: SymExpr, x):
     if scalar:
         return complex(vals[0])
     return vals.reshape(arr.shape)
-
-
-def differentiate(e: SymExpr) -> SymExpr:
-    return e.diff()
-
-
-def reflect(e: SymExpr) -> SymExpr:
-    return e.reflected()
-
-
-def mul_x(e: SymExpr) -> SymExpr:
-    return e.mul_x()
 
 
 def odd_quotient(e: SymExpr) -> SymExpr:

@@ -61,7 +61,7 @@ TAIL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """LCDT values on a symmetric frequency rule, with provenance."""
+    """LCDT values on a symmetric frequency rule, with provenance; the values pass SampledFunction's checks."""
 
     rule: QuadratureRule
     values: np.ndarray
@@ -71,12 +71,7 @@ class Spectrum:
     warnings: tuple = field(default=())
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if values.shape != self.rule.nodes.shape:
-            raise ParameterError("spectrum values must match the frequency rule")
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-            raise ParameterError("spectrum values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", SampledFunction(self.rule, self.values).values)
 
     __eq__ = _fields_equal
 

@@ -35,7 +35,6 @@ from .symfun import (
     apply_dunkl,
     apply_lcd,
     bessel_factor,
-    differentiate,
     evaluate,
     gaussian,
     iterate_op,
@@ -176,7 +175,7 @@ def checks_specfun():
     worst = 0.0
     hh = 1e-4
     for e in exprs:
-        d = differentiate(e)
+        d = e.diff()
         for xv in (-2.1, -0.4, 0.2, 1.7):
             f1 = (evaluate(e, xv + hh / 2) - evaluate(e, xv - hh / 2)) / hh
             f2 = (evaluate(e, xv + hh) - evaluate(e, xv - hh)) / (2 * hh)
@@ -339,7 +338,7 @@ def checks_sobolev():
             d = derivative_via_spectrum(m.expr, k, M, n, xs, prof.lam_rule, x_rule=prof.x_rule)
             e = m.expr
             for _ in range(n):
-                e = differentiate(e)
+                e = e.diff()
             worst = max(worst, float(np.max(np.abs(d - evaluate(e, xs)))))
     out.append(_check("derivative_dual_path", "sobolev", worst, 1e-6))
 

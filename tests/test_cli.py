@@ -12,8 +12,9 @@ import pytest
 import lcdunkl
 from lcdunkl import cli, transform
 from lcdunkl.cli import main
-from lcdunkl.corpus import bump_profile
+from lcdunkl.corpus import bump_profile, realize_bump
 from lcdunkl.errors import AccuracyWarning
+from lcdunkl.transform import lcdt_forward
 
 
 def write_cfg(tmp_path, cfg):
@@ -63,6 +64,28 @@ def test_transform_reports_a_tail_bound_beyond_gamma_range(tmp_path):
         assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
     warns = json.loads((out / "spectrum.json").read_text())["warnings"]
     assert len(warns) == 1 and warns[0].startswith("estimated tail mass")
+
+
+def test_transform_records_a_missed_round_trip(tmp_path, capsys):
+    # at k = 10 the default bump's transform misses its constructed spectrum by 3.4 of its peak:
+    # spectrum.json says so, and nothing reaches stderr
+    out = tmp_path / "run"
+    assert main(["transform", "--config", write_cfg(tmp_path, {"k": 10}), "--out", str(out)]) == 0
+    warns = json.loads((out / "spectrum.json").read_text())["warnings"]
+    assert len(warns) == 1 and warns[0].startswith("round trip") and f"beyond {cli.ROUND_TRIP_TOL:g}" in warns[0]
+    assert capsys.readouterr().err == ""
+
+
+def test_default_transform_files_are_the_forward_payload(tmp_path):
+    # below ROUND_TRIP_TOL nothing is added: the files are lcdt_forward's, byte for byte
+    out = tmp_path / "run"
+    assert main(["transform", "--out", str(out)]) == 0
+    given, cfg = cli._load_config(None)
+    k, M, _, prof, (_, intervals) = cli._build_context(cfg)
+    g = lcdt_forward(realize_bump(k, M, intervals, prof)[0], k, M, prof.lam_rule)
+    assert not g.warnings
+    assert (out / "spectrum.json").read_text() == cli._json_text({**g.payload(), "config": given})
+    assert (out / "spectrum.csv").read_text() == g.to_csv_text()
 
 
 def test_transform_zero_function(tmp_path):

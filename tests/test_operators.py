@@ -269,7 +269,7 @@ def test_counts_refuse_bools(prof, count):
     f, rules = gaussian(-0.5), {"lam_rule": prof.lam_rule, "x_rule": prof.x_rule}
     call = {
         "power": lambda: apply_power_spectral(f, K, M_SHEAR, True, **rules),
-        "derivative order": lambda: derivative_via_spectrum(f, K, M_SHEAR, True, prof.x_rule, **rules),
+        "derivative order": lambda: derivative_via_spectrum(f, K, M_SHEAR, True, prof.x_rule.nodes, **rules),
         "n_max": lambda: norm_sequence(f, K, M_SHEAR, 2.0, True, **rules),
     }[count]
     with pytest.raises(ParameterError, match="must be an integer, got True"):

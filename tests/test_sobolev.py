@@ -1,11 +1,13 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from lcdunkl.corpus import gauss_profile, symbolic_members
+from lcdunkl.corpus import SWEEP_K, SWEEP_M, gauss_profile, symbolic_members
 from lcdunkl.errors import AccuracyWarning, ComputationError, ParameterError
+from lcdunkl.operators import _mult_heat, _sequence
 from lcdunkl.quadrature import SampledFunction, lp_norm
 from lcdunkl.sobolev import (
     derivative_via_spectrum,
@@ -13,7 +15,7 @@ from lcdunkl.sobolev import (
     sobolev_opsum_norm,
 )
 from lcdunkl.specfun import CanonicalMatrix
-from lcdunkl.symfun import differentiate, evaluate, gaussian
+from lcdunkl.symfun import evaluate, gaussian
 from lcdunkl.transform import lcdt_forward
 
 M_SHEAR = CanonicalMatrix(1.0, 1.0, 0.0, 1.0)
@@ -33,6 +35,33 @@ def test_s0_is_l2_norm(prof):
     assert got == pytest.approx(2.0**-0.5, rel=1e-6)
     sf = SampledFunction(prof.x_rule, evaluate(f, prof.x_rule.nodes))
     assert got == pytest.approx(lp_norm(sf, 2.0), rel=1e-8)
+
+
+def _gaussian_moment(k, M, j, rate):
+    """The integral of lam^(2j) e^(-rate lam^2) |F(lam)|^2 dmu_k(lam), F the LCDT of e^(-x^2/2), in closed form.
+
+    F(lam) = (ib)^(-(k+1)) (2 alpha)^(-(k+1)) e^(-(lam/b)^2 / (4 alpha)) with alpha = 1/2 - ia/(2b), so
+    |F|^2 = (|b| |2 alpha|)^(-2(k+1)) e^(-c lam^2), c = Re(1/(2 alpha)) / b^2, and the moments of dmu_k close it.
+    """
+    alpha = 0.5 - 0.5j * M.a / M.b
+    c = (0.5 / alpha).real / M.b**2 + rate
+    front = (abs(M.b) * abs(2.0 * alpha)) ** (-2.0 * (k + 1.0))
+    return front * math.gamma(j + k + 1.0) / (2.0 ** (k + 1.0) * math.gamma(k + 1.0)) * c ** -(j + k + 1.0)
+
+
+def test_gaussian_norms_are_their_closed_forms():
+    # the W^s norm, sum_j C(s, j) of the moments of lam^(2j), and the spectral heat-flow norms at
+    # n <= 3, whose multiplier e^(-n (lam/b)^2) adds 2n / b^2 to the rate; both read about 1e-15
+    f = gaussian(-0.5)
+    for k, M in itertools.product(SWEEP_K, SWEEP_M):
+        prof = gauss_profile(k)
+        for s in range(4):
+            want = math.sqrt(sum(math.comb(s, j) * _gaussian_moment(k, M, j, 0.0) for j in range(s + 1)))
+            got = sobolev_norm(f, k, M, float(s), lam_rule=prof.lam_rule, x_rule=prof.x_rule)
+            assert abs(got - want) <= 1e-12 * want, (k, M, s)
+        _, heat = _sequence(f, k, M, 2.0, 3, prof.lam_rule, prof.x_rule, _mult_heat)
+        want = [0.5 * math.log(_gaussian_moment(k, M, 0, 2.0 * n / M.b**2)) for n in range(4)]
+        assert np.max(np.abs(np.expm1(heat.lognorm - want))) <= 1e-12, (k, M)
 
 
 def test_zero_function_norms(prof):
@@ -123,7 +152,7 @@ def test_derivative_via_spectrum_matches_symbolic(prof, n):
     got = derivative_via_spectrum(f, K, M_ROT, n, xs, prof.lam_rule, x_rule=prof.x_rule)
     e = f
     for _ in range(n):
-        e = differentiate(e)
+        e = e.diff()
     want = evaluate(e, xs)
     assert np.max(np.abs(got - want)) <= 1e-6
 

@@ -12,7 +12,6 @@ from lcdunkl.errors import ParameterError, RangeError
 from lcdunkl.specfun import (
     U_MAX,
     CanonicalMatrix,
-    DunklParameter,
     bessel_j_grid,
     bessel_j_norm,
     dunkl_kernel,
@@ -44,15 +43,15 @@ def jk_oracle(nu, x):
 
 
 def test_domain_type_invariants():
-    with pytest.raises(ParameterError):
-        DunklParameter(-0.51)
-    DunklParameter(-0.5)
+    with pytest.raises(ParameterError, match="k >= -1/2"):
+        specfun.kval(-0.51)
+    assert specfun.kval(-0.5) == -0.5
     with pytest.raises(ParameterError):
         CanonicalMatrix(1.0, 1.0, 1.0, 1.0)  # det 0
     with pytest.raises(ParameterError):
         CanonicalMatrix(1.0, 0.0, 0.0, 1.0)  # b = 0
     m = CanonicalMatrix(2.0, 1.0, 1.0, 1.0)
-    assert m.inverse().as_tuple() == (1.0, -1.0, -1.0, 2.0)
+    assert m.inverse() == CanonicalMatrix(1.0, -1.0, -1.0, 2.0)
 
 
 def test_bessel_at_zero_is_one():

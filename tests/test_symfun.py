@@ -12,7 +12,6 @@ from lcdunkl.symfun import (
     apply_dunkl,
     apply_lcd,
     bessel_factor,
-    differentiate,
     dunkl_kernel_expr,
     evaluate,
     expr_from_json,
@@ -21,9 +20,7 @@ from lcdunkl.symfun import (
     iterate_op,
     lcdt_kernel_expr,
     monomial,
-    mul_x,
     odd_quotient,
-    reflect,
 )
 
 GRID = np.linspace(-4.0, 4.0, 41)
@@ -58,9 +55,9 @@ def test_evaluate_odd_quotient_limit():
 
 
 def test_differentiate_basics():
-    assert evaluate(differentiate(gaussian(-0.5)), 1.0) == pytest.approx(-math.exp(-0.5))
-    assert evaluate(differentiate(bessel_factor(0.0, 1.0)), 0.0) == 0.0
-    assert evaluate(differentiate(gaussian(-1.0, m=1)), 0.0) == pytest.approx(1.0)
+    assert evaluate(gaussian(-0.5).diff(), 1.0) == pytest.approx(-math.exp(-0.5))
+    assert evaluate(bessel_factor(0.0, 1.0).diff(), 0.0) == 0.0
+    assert evaluate(gaussian(-1.0, m=1).diff(), 0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +74,7 @@ def test_differentiate_basics():
     ],
 )
 def test_derivative_matches_finite_difference(expr):
-    d = differentiate(expr)
+    d = expr.diff()
     for x in (-2.1, -0.4, 0.2, 1.7):
         ref = richardson_derivative(expr, x)
         got = evaluate(d, x)
@@ -86,11 +83,11 @@ def test_derivative_matches_finite_difference(expr):
 
 def test_reflect():
     e = gaussian(-1.0, m=1)
-    assert evaluate(reflect(e), 0.7) == pytest.approx(-evaluate(e, 0.7))
+    assert evaluate(e.reflected(), 0.7) == pytest.approx(-evaluate(e, 0.7))
     even = gaussian(-0.5)
-    assert evaluate(reflect(even), 0.7) == evaluate(even, 0.7)
+    assert evaluate(even.reflected(), 0.7) == evaluate(even, 0.7)
     mixed = gaussian(-0.3, beta=0.4 + 0.1j, m=2) + bessel_factor(1.0, 2.0, m=1)
-    twice = reflect(reflect(mixed))
+    twice = mixed.reflected().reflected()
     assert np.max(np.abs(evaluate(twice, GRID) - evaluate(mixed, GRID))) <= 1e-14
 
 
@@ -100,13 +97,13 @@ def test_apply_dunkl_kernel_eigenrelation_at_zero():
     out = apply_dunkl(k, e)
     # value at 0 is (2k+2) e'(0) = i lam
     assert abs(evaluate(out, 0.0) - 1j * lam) <= 1e-12
-    assert abs(evaluate(out, 0.0) - (2 * k + 2) * evaluate(differentiate(e), 0.0)) <= 1e-14
+    assert abs(evaluate(out, 0.0) - (2 * k + 2) * evaluate(e.diff(), 0.0)) <= 1e-14
 
 
 def test_apply_dunkl_reduces_to_derivative_at_khalf():
     e = gaussian(-0.7, m=2) + bessel_factor(1.0, 1.5, m=1)
     lhs = evaluate(apply_dunkl(-0.5, e), GRID)
-    rhs = evaluate(differentiate(e), GRID)
+    rhs = evaluate(e.diff(), GRID)
     assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
@@ -228,9 +225,9 @@ def test_closure_under_fuzzed_operator_chains():
         e = atoms[trial % len(atoms)]
         for op in rng.choice(ops, size=6):
             if op == "diff":
-                e = differentiate(e)
+                e = e.diff()
             elif op == "reflect":
-                e = reflect(e)
+                e = e.reflected()
             else:
                 e = apply_lcd(k, M_SHEAR, e)
         vals = evaluate(e, grid)
@@ -239,9 +236,9 @@ def test_closure_under_fuzzed_operator_chains():
     e = gaussian(-0.4, beta=0.5j)
     for op in ("lcd", "diff", "reflect", "lcd"):
         if op == "diff":
-            e = differentiate(e)
+            e = e.diff()
         elif op == "reflect":
-            e = reflect(e)
+            e = e.reflected()
         else:
             e = apply_lcd(k, M_SHEAR, e)
     assert np.all(np.isfinite(evaluate(e, grid)))
@@ -250,9 +247,9 @@ def test_closure_under_fuzzed_operator_chains():
 def test_mul_x_and_quotpow_cancel():
     e = gaussian(-0.3, beta=0.2)
     q = odd_quotient(e)  # quotient node
-    back = mul_x(q)
+    back = q.mul_x()
     xs = np.array([-1.2, 0.4, 2.0])
-    want = evaluate(e, xs) - evaluate(reflect(e), xs)
+    want = evaluate(e, xs) - evaluate(e.reflected(), xs)
     assert np.max(np.abs(evaluate(back, xs) - want)) <= 1e-13
 
 
